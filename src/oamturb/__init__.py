@@ -6,7 +6,6 @@ parameter sweeps with ESD / sudden-change detection, and fits of the two
 universal decay laws.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .lgmath import BeamParams, laguerre, phase_correlation_length, radial_profile
 from .measures import (
     MeasureTriple,
@@ -62,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BeamParams", "ChannelCoefficients", "ConvergenceFailure", "DegenerateChannel",
     "EsdResult", "FitResult", "GridMismatch", "MeasureTriple", "NotPSD",
-    "NUMBA_ENABLED", "SweepRow", "TurbulenceParams", "WernerParams", "XState",
+    "SweepRow", "TurbulenceParams", "WernerParams", "XState",
     "apply_channel", "channel_ab", "collapse_check", "concurrence_analytic",
     "concurrence_wootters_oracle", "concurrence_x", "detect_sudden_change",
     "eigenvalues_x", "exp_form", "extract_x", "find_esd", "fit_exp_form",

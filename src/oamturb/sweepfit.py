@@ -100,7 +100,7 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     if first_zero is None:
         return EsdResult(None, "no death in range")
     if any(v > 0.0 for v in vals[first_zero:]):
-        raise RuntimeError("concurrence revived after reaching zero; grid too coarse?")
+        raise ConvergenceFailure("concurrence revived after reaching zero; grid too coarse?")
     lo, hi = float(xs[first_zero - 1]), float(xs[first_zero])
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)

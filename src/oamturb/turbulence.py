@@ -10,16 +10,20 @@ angular selection rule, to
 with n = 0 for the survival amplitude a and n = 2 l0 for the crosstalk
 amplitude b.  Substituting u = 2 r^2/w0^2 turns the radial measure into the
 normalized weight u^|l0| L_{p0}^{|l0|}(u)^2 e^-u p0!/(p0+|l0|)!, so the result
-depends on (w0/r0, l0, p0) only.  The nested adaptive quadrature lives in
-``_kernels``.
+depends on (w0/r0, l0, p0) only.
+
+Both integrals use one tensor-product Gauss-Legendre rule after the
+substitutions u = u_max s^6 and theta = pi t^3, which turn the u^(5/6) and
+sin(theta/2)^(5/3) endpoint singularities into smooth powers s^5 and t^5.
+The rule size doubles until two successive sizes agree to the tolerance.
 """
 
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainccinv
+import numpy as np
+from scipy.special import eval_genlaguerre, gammainccinv, gammaln
 
-from . import _kernels
 from .lgmath import BeamParams, phase_correlation_length
 
 # Kolmogorov phase structure function constant: D = 6.88 (d/r0)^(5/3)
@@ -31,9 +35,24 @@ _TAIL_MASS = 1e-16
 # b values in (-NEGATIVE_B_TOL, 0) are quadrature noise and clamp to zero.
 NEGATIVE_B_TOL = 1e-10
 
+# (radial, angular) rule sizes, tried in order until two successive sizes agree.
+_RULE_SIZES = ((32, 64), (64, 128), (128, 256), (256, 512))
+
+# Angular nodes a rule must place inside the theta ~ 0 peak before its
+# difference from the next size is trusted as an error estimate; below this,
+# two under-resolved rules can agree on a wrong value.
+_PEAK_NODES = 8
+
+# Round-off floor of an error estimate, relative to the sum of |terms|
+# (the QUADPACK 50 eps convention).
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+# Gauss-Legendre nodes and weights on [0, 1], per size, filled on first use.
+_GAUSS = {}
+
 
 class ConvergenceFailure(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Quadrature could not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -123,49 +142,123 @@ def _u_max(beam: BeamParams) -> float:
     return 1.1 * float(gammainccinv(shape, _TAIL_MASS))
 
 
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _gauss01(n: int):
+    """n-point Gauss-Legendre nodes and weights on [0, 1]: Newton's method
+    on P_n from Tricomi's approximate nodes, which are good to O(n^-4).
+
+    scipy's roots_legendre weights are off by about 3e-14 from n = 128 on,
+    more than the round-off floor of the error estimate, and its first call
+    imports scipy.linalg (about 50 ms of CLI start-up).
+    """
+    rule = _GAUSS.get(n)
+    if rule is None:
+        k = np.arange(1, n + 1)
+        nodes = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+        for _ in range(3):
+            p, dp = _legendre(n, nodes)
+            nodes = nodes - p / dp
+        dp = _legendre(n, nodes)[1]
+        rule = _GAUSS[n] = (0.5 * (nodes + 1.0), 1.0 / ((1.0 - nodes ** 2) * dp ** 2))
+    return rule
+
+
+def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int,
+              full_circle: bool, columns):
+    """One tensor-product Gauss rule for int_0^umax du w(u) int dtheta f(theta)
+    exp(-c(u) sin(theta/2)^(5/3)) over each angular factor f in columns(theta).
+
+    The angle runs over [0, pi], or over [0, 2pi] as [0, pi] and its mirror
+    image; either way the result carries the 1/2pi prefactor of the full
+    circle.  Returns (values, sums of |terms|), one entry per column.
+    """
+    labs = abs(beam.l0)
+    s, ws = _gauss01(n_u)
+    t, wt = _gauss01(n_th)
+    u = umax * s ** 6
+    # radial weight u^|l| L_p^|l|(u)^2 e^-u p!/(p+|l|)! times du/ds = 6 umax s^5
+    radial = ws * 6.0 * umax * s ** 5 * np.exp(
+        gammaln(beam.p0 + 1.0) - gammaln(beam.p0 + labs + 1.0) + labs * np.log(u) - u
+    ) * eval_genlaguerre(beam.p0, labs, u) ** 2
+    theta = math.pi * t ** 3
+    w_theta = wt * 3.0 * t ** 2  # dtheta/dt = 3 pi t^2, over pi for the folded circle
+    if full_circle:
+        theta = np.concatenate([theta, 2.0 * math.pi - theta])
+        w_theta = 0.5 * np.concatenate([w_theta, w_theta])
+    kernel = np.outer(cscale * u ** (5.0 / 6.0), -np.abs(np.sin(0.5 * theta)) ** (5.0 / 3.0))
+    np.exp(kernel, out=kernel)  # in place: the largest array of the rule, ~1 MB
+    weights = np.stack(columns(theta)) * w_theta
+    inner = kernel @ np.concatenate([weights, np.abs(weights)]).T
+    values, abs_sums = np.split(radial @ inner, 2)
+    return values, abs_sums
+
+
+def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float,
+                       full_circle: bool, columns, what: str):
+    """Integrals of _rule_sum to absolute tol, with error estimates.
+
+    Doubles the rule size until two successive sizes agree to tol and returns
+    the finer values.  Each error estimate is |fine - coarse|, floored by the
+    round-off of the finer sum.  The coarse rule of a pair must resolve the
+    theta ~ 0 peak.  Raises ConvergenceFailure if the largest rule still
+    misses tol, or if the peak is too narrow for the rules at all.
+    """
+    cscale = _c_scale(beam, turb)
+    umax = _u_max(beam)
+    # In t the kernel is about exp(-c (pi/2)^(5/3) t^5), narrowest at u_max,
+    # and an n-point Gauss rule on [0, 1] has about 2 n sqrt(t)/pi nodes below t.
+    peak = (cscale * umax ** (5.0 / 6.0) * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2
+    sizes = [size for size in _RULE_SIZES
+             if 2.0 * size[1] * math.sqrt(peak) / math.pi >= _PEAK_NODES]
+    if len(sizes) < 2:
+        raise ConvergenceFailure(
+            f"{what}: turbulence too strong to resolve "
+            f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g})")
+    coarse = None
+    for n_u, n_th in sizes:
+        fine, abs_sums = _rule_sum(beam, cscale, umax, n_u, n_th, full_circle, columns)
+        if coarse is not None:
+            errs = np.maximum(np.abs(fine - coarse), _ROUNDOFF * abs_sums + _TAIL_MASS)
+            if np.all(errs <= tol):
+                return fine, errs
+        coarse = fine
+    raise ConvergenceFailure(
+        f"{what} did not reach tol={tol} with a {n_u}x{n_th} rule "
+        f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g}); "
+        f"last error estimate {float(np.max(errs)):.3g}")
+
+
 def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> ChannelCoefficients:
     """Survival and crosstalk coefficients (a, b) of the turbulence map.
 
     The angular integral is folded onto [0, pi] (the kernel is symmetric
     under theta -> 2pi - theta, so both coefficients are real cosine
-    integrals), resolved to tol/10 per radial point; the radial integral is
-    adaptive to tol.  Raises ConvergenceFailure if the panel budget is
-    exhausted before reaching the tolerance.
+    integrals).  err_a and err_b bound |a - a_true| and |b - b_true|, each
+    at most tol; raises ConvergenceFailure when tol cannot be reached.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if math.isinf(turb.fried_r0):
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
-    labs = abs(beam.l0)
-    cscale = _c_scale(beam, turb)
-    umax = _u_max(beam)
-    tol_inner = tol / 10.0
-
-    raw_a, err_a, ok_a = _kernels._channel_integral(
-        0, labs, beam.p0, cscale, umax, math.pi, tol, tol_inner, False)
-    if not ok_a:
-        raise ConvergenceFailure(
-            f"survival integral did not reach tol={tol} within the panel budget "
-            f"(l0={beam.l0}, x={x_ratio(beam, turb):.6g})")
-    raw_b, err_b, ok_b = _kernels._channel_integral(
-        2 * labs, labs, beam.p0, cscale, umax, math.pi, tol, tol_inner, False)
-    if not ok_b:
-        raise ConvergenceFailure(
-            f"crosstalk integral did not reach tol={tol} within the panel budget "
-            f"(l0={beam.l0}, x={x_ratio(beam, turb):.6g})")
-
-    # fold [0, pi] back to [0, 2pi] and apply the 1/2pi prefactor
-    a = raw_a / math.pi
-    b = raw_b / math.pi
-    bound_a = (err_a + tol_inner) / math.pi
-    bound_b = (err_b + tol_inner) / math.pi
+    n = 2 * abs(beam.l0)
+    (a, b), (err_a, err_b) = _channel_integrals(
+        beam, turb, tol, False,
+        lambda th: (np.ones_like(th), np.cos(n * th)), "channel integral")
+    a, b, err_a, err_b = (float(v) for v in (a, b, err_a, err_b))
     if b < 0.0:
         if b < -NEGATIVE_B_TOL:
             raise ConvergenceFailure(
                 f"crosstalk coefficient b = {b} is negative beyond quadrature noise")
         b = 0.0
     a = min(a, 1.0)
-    return ChannelCoefficients(a, b, bound_a, bound_b)
+    return ChannelCoefficients(a, b, err_a, err_b)
 
 
 def lambda_element(l_in: int, lp_in: int, l_out: int, lp_out: int,
@@ -189,18 +282,9 @@ def lambda_element(l_in: int, lp_in: int, l_out: int, lp_out: int,
         return (1.0 if l_in == l_out else 0.0) + 0.0j
 
     n = (l_out + lp_out - l_in - lp_in) // 2
-    labs = abs(beam.l0)
-    cscale = _c_scale(beam, turb)
-    umax = _u_max(beam)
-    two_pi = 2.0 * math.pi
-    tol_inner = tol / 10.0
-
     # e^{-i n theta} = cos(n theta) - i sin(n theta)
-    re, _, ok_re = _kernels._channel_integral(
-        n, labs, beam.p0, cscale, umax, two_pi, tol, tol_inner, False)
-    im, _, ok_im = _kernels._channel_integral(
-        n, labs, beam.p0, cscale, umax, two_pi, tol, tol_inner, True)
-    if not (ok_re and ok_im):
-        raise ConvergenceFailure(
-            f"map element integral did not converge (indices {l_in},{lp_in} -> {l_out},{lp_out})")
-    return complex(re / two_pi, -im / two_pi)
+    (re, im), _ = _channel_integrals(
+        beam, turb, tol, True,
+        lambda th: (np.cos(n * th), np.sin(n * th)),
+        f"map element ({l_in},{lp_in} -> {l_out},{lp_out})")
+    return complex(re, -im)

@@ -1,17 +1,14 @@
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import IntegrationWarning, quad, simpson
+from scipy.special import eval_genlaguerre, gamma, gammainccinv, gammaincinv, gammaln
 
-from oamturb import XState, _kernels
+from oamturb import XState
 from oamturb.lgmath import BeamParams, phase_correlation_length
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels once so timed tests see steady-state speed."""
-    _kernels.warmup()
 
 
 @pytest.fixture()
@@ -45,6 +42,78 @@ def channel_ab_bruteforce(l0: int, x: float, nr: int = 2000, nth: int = 2000,
     a = simpson(r * radial2 * ang_a, x=r) / (2.0 * math.pi)
     b = simpson(r * radial2 * ang_b, x=r) / (2.0 * math.pi)
     return a, b
+
+
+# D_phi(d)/2 = 3.44 (d/r0)^(5/3)
+HALF_STRUCTURE = 3.44
+
+
+def _radial_density(l0: int, p0: int):
+    """r R(r)^2 of the unit-waist LG mode, which integrates to one over r."""
+    labs = abs(l0)
+    log_norm = math.log(4.0) + gammaln(p0 + 1.0) - gammaln(p0 + labs + 1.0)
+
+    def density(r):
+        if r <= 0.0:
+            return 0.0
+        u = 2.0 * r * r
+        return (r * math.exp(log_norm + labs * math.log(u) - u)
+                * eval_genlaguerre(p0, labs, u) ** 2)
+
+    return density
+
+
+def _radial_range(l0: int, p0: int):
+    """Cut-off radius and breakpoints at quantiles of the radial mass."""
+    shape = abs(l0) + 2 * p0 + 1
+    r_max = math.sqrt(0.6 * gammainccinv(shape, 1e-18))
+    breaks = [math.sqrt(0.5 * gammaincinv(shape, q)) for q in (1e-4, 0.5, 1.0 - 1e-4)]
+    return r_max, breaks
+
+
+@lru_cache(maxsize=None)
+def channel_ab_quad(l0: int, p0: int, x: float, eps: float = 1e-13):
+    """(a, b) by nested scipy.integrate.quad in the physical (r, theta) variables.
+
+    Independent of the package's substituted Gauss rule.  The angular kernel
+    exp(-C(r) sin(theta/2)^(5/3)) peaks at theta = 0 with width about
+    2 C(r)^(-3/5); breakpoints at multiples of that width keep quad from
+    stepping over the peak in strong turbulence.
+    """
+    labs = abs(l0)
+    r0 = phase_correlation_length(BeamParams(waist=1.0, l0=l0, p0=p0)) / x
+    density = _radial_density(l0, p0)
+    r_max, breaks = _radial_range(l0, p0)
+
+    def angular(r, n):
+        c = HALF_STRUCTURE * (2.0 * r / r0) ** (5.0 / 3.0)
+        width = 2.0 * c ** -0.6
+        points = [k * width for k in (1, 4, 16, 64) if k * width < math.pi]
+        return quad(lambda th: math.cos(n * th) * math.exp(-c * math.sin(0.5 * th) ** (5.0 / 3.0)),
+                    0.0, math.pi, points=points or None, epsabs=eps / 10, epsrel=0.0,
+                    limit=400)[0]
+
+    def coefficient(n):
+        return quad(lambda r: density(r) * angular(r, n), 0.0, r_max, points=breaks,
+                    epsabs=eps, epsrel=0.0, limit=400)[0] / math.pi
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return coefficient(0), coefficient(2 * labs)
+
+
+def large_x_limit(l0: int, p0: int = 0) -> float:
+    """lim a x as x -> inf.
+
+    For large C the angular integral tends to 2 Gamma(8/5) C(r)^(-3/5), and
+    C(r)^(-3/5) = 3.44^(-3/5) r0 / (2 r) with r0 = xi/x.
+    """
+    xi = phase_correlation_length(BeamParams(waist=1.0, l0=l0, p0=p0))
+    density = _radial_density(l0, p0)
+    r_max, breaks = _radial_range(l0, p0)
+    moment = quad(lambda r: density(r) / r, 0.0, r_max, points=breaks,
+                  epsabs=1e-14, epsrel=0.0, limit=200)[0]
+    return gamma(1.6) * HALF_STRUCTURE ** -0.6 * xi / math.pi * moment
 
 
 def random_x_state(rng: np.random.Generator) -> XState:

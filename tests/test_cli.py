@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from oamturb import sweepfit
 from oamturb.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     csv_to_rows,
     fmt,
@@ -199,6 +201,16 @@ class TestEsdCommand:
         rep = parse_report(out)
         assert float(rep["esd_x"]) == pytest.approx(0.62255, abs=1e-3)
         assert rep["sudden_change_x"] == "none"
+
+    def test_revival_is_numerical_failure(self, monkeypatch, capsys):
+        # concurrence zero on [0.5, 1] only: a revival the scan must not bracket
+        monkeypatch.setattr(sweepfit, "_analytic_concurrence_at",
+                            lambda beam, w, x, tol: 0.0 if 0.5 <= x <= 1.0 else 0.5)
+        code, out, err = run_cli(["esd", "--gamma", "1", "--theta", "0.5"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "revived" in err
 
 
 class TestConfigFile:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import channel_ab_bruteforce
+from conftest import channel_ab_bruteforce, channel_ab_quad, large_x_limit
 from oamturb.lgmath import BeamParams, phase_correlation_length
 from oamturb.turbulence import (
     ChannelCoefficients,
@@ -188,6 +188,48 @@ class TestChannelAB:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             channel_ab(BeamParams(), TurbulenceParams(1.0), 0.0)
+
+
+class TestStrongTurbulence:
+    """Large x, where the theta ~ 0 peak of the angular kernel is narrow."""
+
+    @pytest.mark.parametrize("x", [20.0, 100.0, 1000.0])
+    def test_against_quad(self, x):
+        beam = BeamParams(waist=1.0, l0=10)
+        cc = channel_ab(beam, r0_from_x(beam, x), 1e-12)
+        ora_a, ora_b = channel_ab_quad(10, 0, x)
+        assert abs(cc.a - ora_a) <= cc.err_a + 1e-13
+        assert abs(cc.b - ora_b) <= cc.err_b + 1e-13
+
+    def test_reference_value(self):
+        beam = BeamParams(waist=1.0, l0=10)
+        assert channel_ab(beam, r0_from_x(beam, 20.0), 1e-12).a == pytest.approx(7.676e-4, abs=1e-7)
+
+    @pytest.mark.parametrize("x, rel", [(20.0, 1e-6), (100.0, 5e-8), (1000.0, 1e-9)])
+    def test_asymptote(self, x, rel):
+        # a x -> const, approached as x^-2
+        beam = BeamParams(waist=1.0, l0=10)
+        cc = channel_ab(beam, r0_from_x(beam, x), 1e-12)
+        assert cc.a * x == pytest.approx(large_x_limit(10), rel=rel)
+
+    def test_beyond_resolution_raises(self):
+        beam = BeamParams(waist=1.0, l0=10)
+        with pytest.raises(ConvergenceFailure):
+            channel_ab(beam, r0_from_x(beam, 1e7), 1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-11])
+@pytest.mark.parametrize("x", [0.01, 1.0, 50.0])
+@pytest.mark.parametrize("p0", [0, 2])
+@pytest.mark.parametrize("l0", [1, 10, 40])
+def test_error_bars_are_honest(l0, p0, x, tol):
+    beam = BeamParams(waist=1.0, l0=l0, p0=p0)
+    cc = channel_ab(beam, r0_from_x(beam, x), tol)
+    ora_a, ora_b = channel_ab_quad(l0, p0, x)
+    assert 0.0 < cc.err_a <= tol
+    assert 0.0 < cc.err_b <= tol
+    assert abs(cc.a - ora_a) <= cc.err_a + 1e-13
+    assert abs(cc.b - ora_b) <= cc.err_b + 1e-13
 
 
 class TestLambdaElement:
