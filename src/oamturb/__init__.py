@@ -9,16 +9,12 @@ universal decay laws.
 from .lgmath import BeamParams, laguerre, phase_correlation_length, radial_profile
 from .measures import (
     MeasureTriple,
-    NotPSD,
     concurrence_analytic,
-    concurrence_wootters_oracle,
     concurrence_x,
     lqu,
     measure_triple,
     rel_entropy_coherence,
-    sqrt_psd,
     von_neumann_entropy,
-    w_matrix,
 )
 from .qstate import (
     DegenerateChannel,
@@ -26,8 +22,6 @@ from .qstate import (
     XState,
     apply_channel,
     eigenvalues_x,
-    extract_x,
-    to_dense,
     werner_like,
 )
 from .sweepfit import (
@@ -60,13 +54,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamParams", "ChannelCoefficients", "ConvergenceFailure", "DegenerateChannel",
-    "EsdResult", "FitResult", "GridMismatch", "MeasureTriple", "NotPSD",
-    "SweepRow", "TurbulenceParams", "WernerParams", "XState",
+    "EsdResult", "FitResult", "GridMismatch", "MeasureTriple", "SweepRow",
+    "TurbulenceParams", "WernerParams", "XState",
     "apply_channel", "channel_ab", "collapse_check", "concurrence_analytic",
-    "concurrence_wootters_oracle", "concurrence_x", "detect_sudden_change",
-    "eigenvalues_x", "exp_form", "extract_x", "find_esd", "fit_exp_form",
-    "fit_poly_form", "fried_parameter", "laguerre", "lambda_element", "lqu",
-    "measure_triple", "phase_correlation_length", "phase_structure", "poly_form",
-    "r0_from_x", "radial_profile", "rel_entropy_coherence", "sqrt_psd", "sweep",
-    "to_dense", "von_neumann_entropy", "w_matrix", "werner_like", "x_ratio",
+    "concurrence_x", "detect_sudden_change", "eigenvalues_x", "exp_form",
+    "find_esd", "fit_exp_form", "fit_poly_form", "fried_parameter", "laguerre",
+    "lambda_element", "lqu", "measure_triple", "phase_correlation_length",
+    "phase_structure", "poly_form", "r0_from_x", "radial_profile",
+    "rel_entropy_coherence", "sweep", "von_neumann_entropy", "werner_like",
+    "x_ratio",
 ]

@@ -9,6 +9,7 @@ identical configs produce byte-identical output.
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,7 +87,11 @@ def _parse_value(key: str, raw: str):
 def load_config_file(path: str) -> dict:
     """Flat key=value config with [beam]/[werner]/[turbulence]/[run] sections."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        reason = str(exc).splitlines()[0]
+        raise ConfigError(f"malformed config file {path}: {reason}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     values = {}
@@ -286,7 +291,17 @@ def csv_to_rows(path: str) -> list[SweepRow]:
 
 def cmd_sweep(cfg: RunConfig, stdout) -> int:
     rows = sweep(cfg.beam, cfg.werner, _grid(cfg), cfg.tol)
-    Path(cfg.out).write_text(rows_to_csv(rows))
+    # write beside the target, then rename: an interrupted run never leaves
+    # a truncated CSV at --out
+    out = Path(cfg.out)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(rows_to_csv(rows))
+        os.replace(tmp, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
     print(f"wrote {len(rows)} rows to {cfg.out}", file=stdout)
     return EXIT_OK
 
@@ -387,7 +402,7 @@ def main(argv=None) -> int:
     except ConvergenceFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,28 +1,19 @@
-"""Quantumness measures for two-qubit X states: Wootters concurrence (X-form
-analytic, channel-analytic, and a dense spin-flip oracle), relative entropy
-of coherence, and local quantum uncertainty (LQU).
+"""Quantumness measures for two-qubit X states, all in closed form from the
+two 2x2 X blocks: Wootters concurrence (from the X entries, or directly from
+the channel coefficients), relative entropy of coherence, and local quantum
+uncertainty (LQU).
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import WernerParams, XState, eigenvalues_x, to_dense
+from .qstate import WernerParams, XState, eigenvalues_x
 from .turbulence import ChannelCoefficients
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-_PAULIS_A = [np.kron(s, _I2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-
-_EIG_CLAMP = 1e-12
 _TIE_BAND = 1e-12
-
-
-class NotPSD(ValueError):
-    """Matrix handed to sqrt_psd has an eigenvalue below the clamping tolerance."""
 
 
 @dataclass(frozen=True)
@@ -52,19 +43,6 @@ def concurrence_analytic(w: WernerParams, cc: ChannelCoefficients) -> float:
     return max(0.0, val - 0.5 * (1.0 - w.gamma))
 
 
-def concurrence_wootters_oracle(dense: np.ndarray) -> float:
-    """Spin-flip concurrence of a general two-qubit density matrix:
-    C = max{0, l1 - l2 - l3 - l4} with l_i the decreasing square roots of the
-    eigenvalues of rho (sy x sy) rho* (sy x sy).  Independent cross-check for
-    concurrence_x."""
-    rho = np.asarray(dense, dtype=complex)
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    prod = rho @ yy @ rho.conj() @ yy
-    lam = np.sqrt(np.clip(np.linalg.eigvals(prod).real, 0.0, None))
-    lam = np.sort(lam)[::-1]
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-
-
 def von_neumann_entropy(eigs) -> float:
     """Entropy -sum l log2 l in bits, with 0 log 0 = 0."""
     lam = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
@@ -82,47 +60,41 @@ def rel_entropy_coherence(s: XState) -> float:
     return max(0.0, s_diag - s_full)
 
 
-def sqrt_psd(dense: np.ndarray) -> np.ndarray:
-    """Hermitian square root by eigendecomposition.  Eigenvalues in
-    [-1e-12, 0) are clamped to zero; anything lower raises NotPSD."""
-    rho = np.asarray(dense, dtype=complex)
-    eigs, vecs = np.linalg.eigh(rho)
-    if eigs.min() < -_EIG_CLAMP:
-        raise NotPSD(f"eigenvalue {eigs.min()} below clamping tolerance -{_EIG_CLAMP}")
-    root = np.sqrt(np.clip(eigs, 0.0, None))
-    return (vecs * root) @ vecs.conj().T
-
-
-def w_matrix(dense: np.ndarray) -> np.ndarray:
-    """3x3 matrix W_ij = Tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]
-    whose maximal eigenvalue gives the LQU."""
-    root = sqrt_psd(dense)
-    rotated = [root @ p for p in _PAULIS_A]
-    w = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            w[i, j] = np.trace(rotated[i] @ rotated[j])
-    assert np.abs(w.imag).max() <= 1e-12, "W matrix acquired an imaginary part"
-    wr = w.real
-    assert np.abs(wr - wr.T).max() <= 1e-12, "W matrix not symmetric"
-    return 0.5 * (wr + wr.T)
-
-
-def _max_branch(w: np.ndarray) -> tuple[float, int]:
-    """Maximal eigenvalue of W and the 1-based Pauli axis (x,y,z) dominating
-    its eigenvector; degenerate maxima (within 1e-12) pick the lowest axis."""
-    eigs, vecs = np.linalg.eigh(w)
-    lam_max = eigs[-1]
-    axes = [int(np.argmax(np.abs(vecs[:, i])))
-            for i in range(3) if eigs[i] >= lam_max - _TIE_BAND]
-    return float(lam_max), min(axes) + 1
+def block_sqrt(p: float, q: float, c: complex) -> tuple[float, float, complex]:
+    """Square root (r_pp, r_qq, r_pq) of the PSD block [[p, c], [c*, q]]:
+    (block + s I)/t with s = sqrt(det) and t = sqrt(trace + 2 s).  A zero
+    block has a zero root."""
+    s = math.sqrt(max(p * q - abs(c) ** 2, 0.0))
+    t = math.sqrt(max(p + q + 2.0 * s, 0.0))
+    if t == 0.0:
+        return 0.0, 0.0, 0j
+    return (p + s) / t, (q + s) / t, c / t
 
 
 def lqu(s: XState) -> tuple[float, int]:
     """Local quantum uncertainty 1 - lambda_max(W), clamped to [0, 1], and the
-    branch index of the maximal eigenvalue."""
-    lam_max, branch = _max_branch(w_matrix(to_dense(s)))
-    return min(1.0, max(0.0, 1.0 - lam_max)), branch
+    1-based Pauli axis (x, y, z) of the maximal eigenvalue of W.
+
+    For an X state W is block diagonal: W_zz, and an xy block with
+    eigenvalues D +/- 4 m14 m23 whose larger eigenvector lies at the angle
+    (arg c14 + arg c23)/2 (Girolami, Tufarelli & Adesso, PRL 110, 240402).
+    Eigenvalues within 1e-12 of the maximum tie and resolve to the lowest
+    axis.
+    """
+    r11, r44, r14 = block_sqrt(s.d11, s.d44, s.c14)
+    r22, r33, r23 = block_sqrt(s.d22, s.d33, s.c23)
+    m14, m23 = abs(r14), abs(r23)
+    w_zz = r11 * r11 + r22 * r22 + r33 * r33 + r44 * r44 - 2.0 * (m14 * m14 + m23 * m23)
+    split = 4.0 * m14 * m23
+    w_xy = 2.0 * (r11 * r33 + r22 * r44) + split
+    if w_zz - w_xy > _TIE_BAND:
+        branch = 3
+    elif 2.0 * split <= _TIE_BAND:
+        branch = 1
+    else:
+        psi = 0.5 * (cmath.phase(s.c14) + cmath.phase(s.c23))
+        branch = 1 if abs(math.cos(psi)) >= abs(math.sin(psi)) else 2
+    return min(1.0, max(0.0, 1.0 - max(w_zz, w_xy))), branch
 
 
 def measure_triple(s: XState) -> MeasureTriple:

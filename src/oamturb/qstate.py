@@ -121,28 +121,3 @@ def eigenvalues_x(s: XState) -> np.ndarray:
     if eigs.min() < -_POS_TOL:
         raise ValueError(f"X state eigenvalue below -{_POS_TOL}: {eigs.min()}")
     return np.clip(eigs, 0.0, None)
-
-
-def to_dense(s: XState) -> np.ndarray:
-    """4x4 Hermitian density matrix with the X entries in place."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = s.d11, s.d22, s.d33, s.d44
-    m[0, 3] = s.c14
-    m[3, 0] = s.c14.conjugate()
-    m[1, 2] = s.c23
-    m[2, 1] = s.c23.conjugate()
-    return m
-
-
-def extract_x(dense: np.ndarray, tol: float = 1e-12) -> XState:
-    """Inverse of to_dense; rejects matrices with entries off the X pattern."""
-    m = np.asarray(dense, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    mask = np.ones((4, 4), dtype=bool)
-    for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
-        mask[i, j] = False
-    if np.abs(m[mask]).max() > tol:
-        raise ValueError("matrix has entries outside the X pattern")
-    return XState(m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real,
-                  m[0, 3], m[1, 2])

@@ -126,3 +126,65 @@ def random_x_state(rng: np.random.Generator) -> XState:
     return XState(d[0], d[1], d[2], d[3],
                   m14 * complex(math.cos(ph14), math.sin(ph14)),
                   m23 * complex(math.cos(ph23), math.sin(ph23)))
+
+
+# ---------- dense 4x4 oracles: the package works on the two X blocks only ----------
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULIS_A = [np.kron(s, np.eye(2, dtype=complex)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+TIE_BAND = 1e-12
+
+
+def to_dense(s: XState) -> np.ndarray:
+    """4x4 Hermitian density matrix with the X entries in place."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = s.d11, s.d22, s.d33, s.d44
+    m[0, 3] = s.c14
+    m[3, 0] = s.c14.conjugate()
+    m[1, 2] = s.c23
+    m[2, 1] = s.c23.conjugate()
+    return m
+
+
+def sqrt_psd(dense: np.ndarray) -> np.ndarray:
+    """Hermitian square root by eigendecomposition, eigenvalues in
+    [-1e-12, 0) clamped to zero."""
+    eigs, vecs = np.linalg.eigh(np.asarray(dense, dtype=complex))
+    assert eigs.min() >= -1e-12, f"eigenvalue {eigs.min()} below -1e-12"
+    return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+
+
+def w_matrix(dense: np.ndarray) -> np.ndarray:
+    """3x3 matrix W_ij = Tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]
+    whose maximal eigenvalue gives the LQU."""
+    root = sqrt_psd(dense)
+    rotated = [root @ p for p in PAULIS_A]
+    w = np.array([[np.trace(ri @ rj) for rj in rotated] for ri in rotated])
+    assert np.abs(w.imag).max() <= 1e-12, "W matrix acquired an imaginary part"
+    wr = w.real
+    assert np.abs(wr - wr.T).max() <= 1e-12, "W matrix not symmetric"
+    return 0.5 * (wr + wr.T)
+
+
+def lqu_dense(s: XState) -> tuple[float, int]:
+    """LQU 1 - lambda_max(W), clamped to [0, 1], and the 1-based Pauli axis
+    dominating the maximal eigenvector of W; eigenvalues within 1e-12 of the
+    maximum tie and pick the lowest axis."""
+    eigs, vecs = np.linalg.eigh(w_matrix(to_dense(s)))
+    axes = [int(np.argmax(np.abs(vecs[:, i])))
+            for i in range(3) if eigs[i] >= eigs[-1] - TIE_BAND]
+    return min(1.0, max(0.0, 1.0 - float(eigs[-1]))), min(axes) + 1
+
+
+def concurrence_wootters_oracle(dense: np.ndarray) -> float:
+    """Spin-flip concurrence of a general two-qubit density matrix:
+    C = max{0, l1 - l2 - l3 - l4} with l_i the decreasing square roots of the
+    eigenvalues of rho (sy x sy) rho* (sy x sy)."""
+    rho = np.asarray(dense, dtype=complex)
+    yy = np.kron(SIGMA_Y, SIGMA_Y)
+    prod = rho @ yy @ rho.conj() @ yy
+    lam = np.sqrt(np.clip(np.linalg.eigvals(prod).real, 0.0, None))
+    lam = np.sort(lam)[::-1]
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])

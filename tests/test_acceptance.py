@@ -11,17 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_x_state
+from conftest import concurrence_wootters_oracle, random_x_state, to_dense
 from oamturb.cli import main as cli_main
 from oamturb.lgmath import BeamParams
-from oamturb.measures import (
-    concurrence_analytic,
-    concurrence_wootters_oracle,
-    lqu,
-    measure_triple,
-    sqrt_psd,
-)
-from oamturb.qstate import WernerParams, apply_channel, to_dense, werner_like
+from oamturb.measures import block_sqrt, concurrence_analytic, lqu, measure_triple
+from oamturb.qstate import WernerParams, apply_channel, werner_like
 from oamturb.sweepfit import (
     collapse_check,
     detect_sudden_change,
@@ -209,12 +203,16 @@ def test_criterion_08_decay_speed_ordering(bell_sweeps):
 
 def test_criterion_09_numerical_hygiene(bell_sweeps):
     rng = np.random.default_rng(11)
-    # sqrt self-consistency
+    # sqrt self-consistency of the two block roots behind lqu
     worst_sqrt = 0.0
     for _ in range(200):
-        dense = to_dense(random_x_state(rng))
-        root = sqrt_psd(dense)
-        worst_sqrt = max(worst_sqrt, float(np.linalg.norm(root @ root - dense)))
+        s = random_x_state(rng)
+        sq_err = 0.0
+        for p, q, c in ((s.d11, s.d44, s.c14), (s.d22, s.d33, s.c23)):
+            rp, rq, rc = block_sqrt(p, q, c)
+            root = np.array([[rp, rc], [rc.conjugate(), rq]])
+            sq_err += float(np.linalg.norm(root @ root - np.array([[p, c], [c.conjugate(), q]]))) ** 2
+        worst_sqrt = max(worst_sqrt, math.sqrt(sq_err))
     # channel trace and positivity
     worst_trace = 0.0
     min_eig = np.inf

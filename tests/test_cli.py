@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,27 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert not out_file.exists()
 
+    def test_missing_out_directory(self, tmp_path, capsys):
+        out_file = tmp_path / "nowhere" / "sweep.csv"
+        code, _, err = run_cli(["sweep", "--x-points", "3", "--out", str(out_file)], capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.parent.exists()
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, capsys, monkeypatch):
+        out_file = tmp_path / "sweep.csv"
+        out_file.write_text("previous run\n")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, _, err = run_cli(["sweep", "--x-points", "3", "--out", str(out_file)], capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out_file.read_text() == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
 
 class TestFitCommand:
     def test_poly_fixture_recovers_constants(self, capsys):
@@ -173,6 +195,13 @@ class TestFitCommand:
             ["fit", "--form", "poly", "--input", str(DATA / "synthetic_decay.csv"),
              "--initial", "1,2,3"], capsys)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_unreadable_input(self, name, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["fit", "--form", "poly", "--input", str(tmp_path / name)], capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csv_without_origin_row_rejected(self, tmp_path, capsys):
         clipped = tmp_path / "clipped.csv"
@@ -238,6 +267,15 @@ class TestConfigFile:
         cfg.write_text("[beam]\nwobble = 3\n")
         with pytest.raises(Exception):
             load_config_file(str(cfg))
+
+    @pytest.mark.parametrize("text", ["l0 = 1\n", "[beam]\nl0 = 1\nl0 = 2\n"],
+                             ids=["no_section_header", "duplicate_key"])
+    def test_malformed_file(self, text, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, _, err = run_cli(["measures", "--config", str(cfg), "--x", "0"], capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: malformed config file") and err.count("\n") == 1
 
     def test_csv_round_trip(self, tmp_path, capsys):
         out_file = tmp_path / "rt.csv"

@@ -4,23 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_x_state
-from oamturb.measures import (
-    NotPSD,
+from conftest import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    concurrence_analytic,
     concurrence_wootters_oracle,
+    lqu_dense,
+    random_x_state,
+    sqrt_psd,
+    to_dense,
+    w_matrix,
+)
+from oamturb.measures import (
+    concurrence_analytic,
     concurrence_x,
     lqu,
     measure_triple,
     rel_entropy_coherence,
-    sqrt_psd,
     von_neumann_entropy,
-    w_matrix,
 )
-from oamturb.qstate import WernerParams, XState, apply_channel, to_dense, werner_like
+from oamturb.qstate import WernerParams, XState, apply_channel, werner_like
 from oamturb.turbulence import ChannelCoefficients
 
 BELL = WernerParams(gamma=1.0, theta=math.pi / 2)
@@ -130,11 +133,6 @@ class TestSqrtPsd:
             assert np.linalg.norm(root @ root - dense) < 1e-10
             assert np.abs(root - root.conj().T).max() < 1e-12
 
-    def test_rejects_indefinite(self):
-        m = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
-        with pytest.raises(NotPSD):
-            sqrt_psd(m)
-
 
 class TestWMatrix:
     def test_maximally_mixed_gives_identity(self):
@@ -144,12 +142,6 @@ class TestWMatrix:
     def test_bell_gives_zero(self):
         w = w_matrix(to_dense(werner_like(BELL)))
         assert np.abs(w).max() < 1e-12
-
-    def test_pure_product_max_eigenvalue_one(self):
-        # |0><0| x I/2: measuring along z is certain, so lambda_max = 1
-        rho = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0).astype(complex)
-        w = w_matrix(rho)
-        assert np.linalg.eigvalsh(w)[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_real(self, rng):
         for _ in range(50):
@@ -184,8 +176,53 @@ class TestLQU:
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_is_zero(self):
-        value, _ = lqu(werner_like(MIXED))
+        # W = I: all three axes tie and resolve to branch 1
+        value, branch = lqu(werner_like(MIXED))
         assert value == pytest.approx(0.0, abs=1e-12)
+        assert branch == 1
+
+    def test_pure_product_of_qubit_a(self):
+        # |0><0| x I/2: measuring qubit A along z is certain, so W_zz = 1
+        value, branch = lqu(XState(0.5, 0.5, 0.0, 0.0))
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert branch == 3
+        assert lqu_dense(XState(0.5, 0.5, 0.0, 0.0)) == (pytest.approx(value, abs=1e-12), 3)
+
+    def test_no_outer_coherence_has_no_y_branch(self, rng):
+        # c14 = 0, as in every channel-evolved Werner state, makes the xy
+        # block of W degenerate: the branch is x or z
+        for _ in range(500):
+            s = random_x_state(rng)
+            w = WernerParams(float(rng.uniform()), float(rng.uniform(0.0, math.pi)),
+                             float(rng.uniform(0.0, 2.0 * math.pi)))
+            for state in (XState(s.d11, s.d22, s.d33, s.d44, 0j, s.c23),
+                          apply_channel(werner_like(w), random_cc(rng))):
+                value, branch = lqu(state)
+                ref_value, ref_branch = lqu_dense(state)
+                assert branch in (1, 3)
+                assert abs(value - ref_value) <= 1e-12
+                assert branch == ref_branch
+
+    @pytest.mark.parametrize("s", [
+        # W_zz above the xy eigenvalues by about 1.6e-13
+        XState(0.25 + 2e-7, 0.25, 0.25 - 2e-7, 0.25),
+        # xy eigenvalues 8e-14 apart, the larger one along y
+        XState(0.25, 0.25, 0.25, 0.25, 1e-7j, 1e-7j),
+    ], ids=["z_within_band", "xy_within_band"])
+    def test_near_ties_resolve_to_lowest_axis(self, s):
+        assert lqu(s)[1] == 1
+        assert lqu_dense(s)[1] == 1
+
+    def test_closed_form_matches_dense_oracle(self, rng):
+        branches = set()
+        for _ in range(10_000):
+            s = random_x_state(rng)
+            value, branch = lqu(s)
+            ref_value, ref_branch = lqu_dense(s)
+            assert abs(value - ref_value) <= 1e-12
+            assert branch == ref_branch
+            branches.add(branch)
+        assert branches == {1, 2, 3}
 
     def test_werner_half_closed_form(self):
         # fully degenerate W: lqu = (3 - sqrt 5)/4, ties resolve to branch 1

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_x_state
+from conftest import random_x_state, to_dense
 from oamturb.qstate import (
     DegenerateChannel,
     WernerParams,
     XState,
     apply_channel,
     eigenvalues_x,
-    extract_x,
-    to_dense,
     werner_like,
 )
 from oamturb.turbulence import ChannelCoefficients
@@ -155,24 +153,11 @@ class TestEigenvaluesX:
 
 
 class TestDenseRoundTrip:
-    def test_round_trip_identity(self, rng):
-        for _ in range(50):
-            s = random_x_state(rng)
-            back = extract_x(to_dense(s))
-            assert back == s
-
     def test_dense_is_hermitian_unit_trace(self, rng):
         for _ in range(50):
             dense = to_dense(random_x_state(rng))
             assert np.abs(dense - dense.conj().T).max() == 0.0
             assert np.trace(dense).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_extract_rejects_non_x(self):
-        m = np.eye(4, dtype=complex) / 4.0
-        m[0, 1] = 0.1
-        m[1, 0] = 0.1
-        with pytest.raises(ValueError):
-            extract_x(m)
 
 
 class TestXStateValidation:
