@@ -277,15 +277,14 @@ def csv_to_rows(path: str) -> list[SweepRow]:
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path} does not carry the expected sweep header")
     rows = []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
         if len(parts) != 7:
             raise ConfigError(f"malformed sweep row: {ln!r}")
-        rows.append(SweepRow(
-            x=float(parts[0]), a=float(parts[1]), b=float(parts[2]),
-            concurrence=float(parts[3]), coherence=float(parts[4]),
-            lqu=float(parts[5]), lqu_branch=int(parts[6]),
-        ))
+        values = [float(v) for v in parts[:6]]
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"non-finite value in sweep row {n}: {ln!r}")
+        rows.append(SweepRow(*values, lqu_branch=int(parts[6])))
     return rows
 
 
@@ -328,7 +327,7 @@ def cmd_fit(cfg: RunConfig, stdout) -> int:
 
 def cmd_esd(cfg: RunConfig, stdout) -> int:
     res = find_esd(cfg.beam, cfg.werner, cfg.tol, x_max=cfg.x_max,
-                   grid_points=cfg.x_points)
+                   grid_points=cfg.x_points, x_min=cfg.x_min)
     if res.x_star is None:
         print("esd_x=none", file=stdout)
         print(f"reason={res.reason}", file=stdout)

@@ -7,6 +7,8 @@ factors (Gouy phase, curvature) enter the model.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BeamParams:
@@ -20,16 +22,16 @@ class BeamParams:
     p0: int = 0
 
     def __post_init__(self):
-        if not self.waist > 0:
-            raise ValueError(f"beam waist must be positive, got {self.waist}")
+        if not 0 < self.waist < math.inf:
+            raise ValueError(f"beam waist must be positive and finite, got {self.waist}")
         if abs(self.l0) < 1:
             raise ValueError("azimuthal index l0 = 0 gives no two-dimensional OAM subspace")
         if self.p0 < 0:
             raise ValueError(f"radial index p0 must be non-negative, got {self.p0}")
 
 
-def laguerre(p: int, alpha: int, x: float) -> float:
-    """Generalized Laguerre polynomial L_p^alpha(x).
+def laguerre(p: int, alpha: int, x):
+    """Generalized Laguerre polynomial L_p^alpha(x), elementwise on arrays.
 
     Evaluated by the three-term recurrence
         (k+1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1},
@@ -39,10 +41,10 @@ def laguerre(p: int, alpha: int, x: float) -> float:
         raise ValueError(f"polynomial degree p must be non-negative, got {p}")
     if alpha < 0:
         raise ValueError(f"order alpha must be non-negative, got {alpha}")
-    if not math.isfinite(x):
+    if not np.isfinite(x).all():
         raise ValueError(f"argument must be finite, got {x}")
     if p == 0:
-        return 1.0
+        return 1.0 + 0.0 * x  # 1, shaped like x
     lm1 = 1.0
     lcur = 1.0 + alpha - x
     for k in range(1, p):
@@ -52,9 +54,24 @@ def laguerre(p: int, alpha: int, x: float) -> float:
     return lcur
 
 
-def radial_profile(r: float, beam: BeamParams) -> float:
-    """Radial amplitude R_{p0,l0}(r) of the LG mode, normalized so that
-    the intensity integral  int_0^inf R^2 r dr = 1.
+def radial_amplitude(u, beam: BeamParams):
+    """Dimensionless LG amplitude at u = 2 r^2/w0^2, elementwise on arrays,
+
+        sqrt(p0!/(p0+|l0|)!) u^(|l0|/2) L_{p0}^{|l0|}(u) e^(-u/2),
+
+    whose square is the radial weight, of unit mass on u in [0, inf).
+    """
+    labs = abs(beam.l0)
+    p0 = beam.p0
+    # log-space prefactor: factorial ratio overflows well before |l0| ~ 150
+    lg = 0.5 * (math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0))
+    with np.errstate(divide="ignore"):  # log 0 = -inf: zero at u = 0 for |l0| >= 1
+        return np.exp(lg + 0.5 * labs * np.log(u) - 0.5 * u) * laguerre(p0, labs, u)
+
+
+def radial_profile(r, beam: BeamParams):
+    """Radial amplitude R_{p0,l0}(r) of the LG mode, elementwise on arrays,
+    normalized so that the intensity integral  int_0^inf R^2 r dr = 1.
 
         R(r) = (2/w0) sqrt(p0!/(p0+|l0|)!) (r sqrt2/w0)^|l0|
                L_{p0}^{|l0|}(2 r^2/w0^2) exp(-r^2/w0^2)
@@ -62,18 +79,10 @@ def radial_profile(r: float, beam: BeamParams) -> float:
     The Laguerre argument is the dimensionless 2r^2/w0^2 (for p0 = 0 the
     polynomial is constant and the argument is immaterial).
     """
-    if r < 0:
+    if np.any(r < 0):
         raise ValueError(f"radius must be non-negative, got {r}")
     w0 = beam.waist
-    labs = abs(beam.l0)
-    p0 = beam.p0
-    if r == 0.0:
-        return 0.0  # (r sqrt2/w0)^|l0| vanishes for |l0| >= 1
-    u = 2.0 * r * r / (w0 * w0)
-    # log-space prefactor: factorial ratio overflows well before |l0| ~ 150
-    lg = 0.5 * (math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0))
-    amp = (2.0 / w0) * math.exp(lg + 0.5 * labs * math.log(u) - 0.5 * u)
-    return amp * laguerre(p0, labs, u)
+    return (2.0 / w0) * radial_amplitude(2.0 * r * r / (w0 * w0), beam)
 
 
 def phase_correlation_length(beam: BeamParams) -> float:

@@ -84,23 +84,28 @@ def _analytic_concurrence_at(beam, w, x, tol):
 
 
 def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
-             x_max: float = 3.0, grid_points: int = 61) -> EsdResult:
-    """Smallest x in (0, x_max] past which the concurrence is identically zero.
+             x_max: float = 3.0, grid_points: int = 61, x_min: float = 0.0) -> EsdResult:
+    """Smallest x in (x_min, x_max] past which the concurrence is identically zero.
 
     Scans a uniform grid for the sign change of the analytic form's inner
     expression, verifies concurrence stays zero afterwards, then bisects the
-    bracket.  Returns reasons "zero at origin" (no entanglement to lose) or
-    "no death in range" when applicable.
+    bracket.  Returns reasons "zero at origin" (no entanglement to lose),
+    "zero at x_min" (already dead where the scan starts) or "no death in
+    range" when applicable.
     """
+    if not 0.0 <= x_min < x_max:
+        raise ValueError(f"invalid ESD range [{x_min}, {x_max}]")
     if concurrence_analytic(w, ChannelCoefficients(1.0, 0.0)) <= 0.0:
         return EsdResult(None, "zero at origin")
-    xs = np.linspace(0.0, x_max, grid_points)
+    xs = np.linspace(x_min, x_max, grid_points)
     vals = [_analytic_concurrence_at(beam, w, float(x), tol) for x in xs]
     first_zero = next((i for i, v in enumerate(vals) if v <= 0.0), None)
     if first_zero is None:
         return EsdResult(None, "no death in range")
     if any(v > 0.0 for v in vals[first_zero:]):
         raise ConvergenceFailure("concurrence revived after reaching zero; grid too coarse?")
+    if first_zero == 0:
+        return EsdResult(None, "zero at x_min")
     lo, hi = float(xs[first_zero - 1]), float(xs[first_zero])
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)

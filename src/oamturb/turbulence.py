@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammainccinv, gammaln
 
-from .lgmath import BeamParams, phase_correlation_length
+from .lgmath import BeamParams, phase_correlation_length, radial_amplitude
 
 # Kolmogorov phase structure function constant: D = 6.88 (d/r0)^(5/3)
 STRUCTURE_CONSTANT = 6.88
@@ -92,12 +91,16 @@ class ChannelCoefficients:
 
 
 def phase_structure(separation: float, turb: TurbulenceParams) -> float:
-    """Kolmogorov phase structure function D_phi = 6.88 (separation/r0)^(5/3)."""
+    """Kolmogorov phase structure function D_phi = 6.88 (separation/r0)^(5/3);
+    inf where that exceeds the float range."""
     if separation < 0:
         raise ValueError(f"separation must be non-negative, got {separation}")
     if separation == 0.0:
         return 0.0
-    return STRUCTURE_CONSTANT * (separation / turb.fried_r0) ** (5.0 / 3.0)
+    try:
+        return STRUCTURE_CONSTANT * (separation / turb.fried_r0) ** (5.0 / 3.0)
+    except OverflowError:
+        return math.inf
 
 
 def fried_parameter(Cn2: float, k: float, L: float) -> float:
@@ -130,16 +133,22 @@ def r0_from_x(beam: BeamParams, x: float) -> TurbulenceParams:
 def _c_scale(beam: BeamParams, turb: TurbulenceParams) -> float:
     # exponent of the angular kernel: c(u) = c_scale * u^(5/6), from
     # D_phi(2 r |sin(theta/2)|)/2 with r = w0 sqrt(u/2)
-    return 0.5 * STRUCTURE_CONSTANT * (math.sqrt(2.0) * beam.waist / turb.fried_r0) ** (5.0 / 3.0)
+    return 0.5 * phase_structure(math.sqrt(2.0) * beam.waist, turb)
 
 
 def _u_max(beam: BeamParams) -> float:
-    # cut the radial tail where the remaining weight mass is below _TAIL_MASS;
-    # the weight peaks near u = |l0|, so a fixed cut would under-truncate at
-    # large |l0|.  The Laguerre factor raises the effective shape parameter
-    # by at most 2 p0.
-    shape = abs(beam.l0) + 2 * beam.p0 + 1
-    return 1.1 * float(gammainccinv(shape, _TAIL_MASS))
+    # cut the radial tail where the remaining weight mass is below _TAIL_MASS.
+    # Past the last Laguerre zero the weight is at most C = (|l|+2p)!/(p! (p+|l|)!)
+    # times the Gamma(k) density, k = |l| + 2p + 1, whose tail beyond k t the
+    # Chernoff bound caps at exp(-k (t - 1 - ln t)); t solves that = _TAIL_MASS/C.
+    # Newton's method on this convex equation nears the root from above, so
+    # every step is a valid cut.
+    k = abs(beam.l0) + 2 * beam.p0 + 1
+    r = (math.log(math.comb(k - 1, beam.p0)) - math.log(_TAIL_MASS)) / k
+    t = 1.0 + r + math.sqrt(2.0 * r)
+    for _ in range(4):
+        t -= (t - 1.0 - math.log(t) - r) / (1.0 - 1.0 / t)
+    return k * t
 
 
 def _legendre(n: int, x):
@@ -155,8 +164,7 @@ def _gauss01(n: int):
     on P_n from Tricomi's approximate nodes, which are good to O(n^-4).
 
     scipy's roots_legendre weights are off by about 3e-14 from n = 128 on,
-    more than the round-off floor of the error estimate, and its first call
-    imports scipy.linalg (about 50 ms of CLI start-up).
+    more than the round-off floor of the error estimate.
     """
     rule = _GAUSS.get(n)
     if rule is None:
@@ -179,14 +187,11 @@ def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int,
     image; either way the result carries the 1/2pi prefactor of the full
     circle.  Returns (values, sums of |terms|), one entry per column.
     """
-    labs = abs(beam.l0)
     s, ws = _gauss01(n_u)
     t, wt = _gauss01(n_th)
     u = umax * s ** 6
     # radial weight u^|l| L_p^|l|(u)^2 e^-u p!/(p+|l|)! times du/ds = 6 umax s^5
-    radial = ws * 6.0 * umax * s ** 5 * np.exp(
-        gammaln(beam.p0 + 1.0) - gammaln(beam.p0 + labs + 1.0) + labs * np.log(u) - u
-    ) * eval_genlaguerre(beam.p0, labs, u) ** 2
+    radial = ws * 6.0 * umax * s ** 5 * radial_amplitude(u, beam) ** 2
     theta = math.pi * t ** 3
     w_theta = wt * 3.0 * t ** 2  # dtheta/dt = 3 pi t^2, over pi for the folded circle
     if full_circle:

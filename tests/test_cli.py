@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,21 @@ class TestChannelCommand:
         code, _, err = run_cli(["channel", "--r0", "1", "--x", "0.5"], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, x", [("channel", "1"), ("measures", "2")])
+    def test_infinite_waist_rejected(self, command, x, capsys):
+        # with an infinite waist r0 = xi/x is infinite: the no-turbulence answer
+        code, out, err = run_cli([command, "--omega0", "inf", "--x", x], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("spec", [["--x", "1e200"], ["--r0", "1e-300"]])
+    def test_overflowing_strength_is_numerical_failure(self, spec, capsys):
+        code, out, err = run_cli(["channel", *spec], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     def test_physical_spec(self, capsys):
         k = 2.0 * math.pi / 1550e-9
         code, out, _ = run_cli(
@@ -131,6 +148,15 @@ class TestSweepCommand:
             ["sweep", "--gamma", "2", "--out", str(out_file)], capsys)
         assert code == EXIT_CONFIG
         assert not out_file.exists()
+
+    def test_overflowing_strength_is_numerical_failure(self, tmp_path, capsys):
+        out_file = tmp_path / "f.csv"
+        code, out, err = run_cli(
+            ["sweep", "--x-max", "1e300", "--x-points", "3", "--out", str(out_file)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_out_directory(self, tmp_path, capsys):
         out_file = tmp_path / "nowhere" / "sweep.csv"
@@ -203,6 +229,19 @@ class TestFitCommand:
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("form, column, value", [("poly", 5, "nan"), ("exp", 0, "inf")])
+    def test_non_finite_cell_rejected(self, form, column, value, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        lines = (DATA / "synthetic_decay.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["fit", "--form", form, "--input", str(bad)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: non-finite value in sweep row 3") and err.count("\n") == 1
+
     def test_csv_without_origin_row_rejected(self, tmp_path, capsys):
         clipped = tmp_path / "clipped.csv"
         lines = (DATA / "synthetic_decay.csv").read_text().splitlines()
@@ -230,6 +269,15 @@ class TestEsdCommand:
         rep = parse_report(out)
         assert float(rep["esd_x"]) == pytest.approx(0.62255, abs=1e-3)
         assert rep["sudden_change_x"] == "none"
+
+    def test_x_min_after_death(self, capsys):
+        code, out, _ = run_cli(
+            ["esd", "--gamma", "1", "--theta", "0.5", "--x-max", "1", "--x-min", "0.9",
+             "--tol", "1e-8"], capsys)
+        assert code == EXIT_OK
+        rep = parse_report(out)
+        assert rep["esd_x"] == "none"
+        assert rep["reason"] == "zero at x_min"
 
     def test_revival_is_numerical_failure(self, monkeypatch, capsys):
         # concurrence zero on [0.5, 1] only: a revival the scan must not bracket
@@ -284,3 +332,13 @@ class TestConfigFile:
         rows = csv_to_rows(str(out_file))
         assert len(rows) == 4
         assert rows[0].a == 1.0 and rows[0].lqu_branch == 1
+
+
+def test_runtime_does_not_import_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests' oracles
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, oamturb, oamturb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -45,6 +45,15 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             laguerre(2, 1, math.inf)
 
+    @pytest.mark.parametrize("p", [0, 1, 5])
+    def test_array_matches_scalar(self, p):
+        x = np.linspace(0.0, 30.0, 7)
+        got = laguerre(p, 3, x)
+        assert got.shape == x.shape
+        assert list(got) == [laguerre(p, 3, float(v)) for v in x]
+        with pytest.raises(ValueError):
+            laguerre(p, 3, np.array([1.0, math.nan]))
+
 
 class TestRadialProfile:
     def test_zero_at_origin(self):
@@ -66,6 +75,27 @@ class TestRadialProfile:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             radial_profile(-0.1, BeamParams())
+
+    def test_array_matches_scalar(self):
+        beam = BeamParams(waist=0.8, l0=4, p0=2)
+        r = np.linspace(0.0, 3.0, 9)
+        got = radial_profile(r, beam)
+        assert got[0] == 0.0
+        assert list(got) == [radial_profile(float(v), beam) for v in r]
+        with pytest.raises(ValueError):
+            radial_profile(np.array([0.5, -0.1]), beam)
+
+    @pytest.mark.parametrize("p0", [0, 2])
+    @pytest.mark.parametrize("l0", [1, 10, 40])
+    def test_against_scipy_closed_form(self, l0, p0):
+        # R^2 (w0/2)^2 = p0!/(p0+l0)! u^l0 L^2 e^-u at u = 2 r^2 / w0^2
+        beam = BeamParams(waist=1.3, l0=l0, p0=p0)
+        r = np.linspace(0.05, 8.0, 40)
+        u = 2.0 * r ** 2 / 1.3 ** 2
+        ref = (gamma(p0 + 1) / gamma(p0 + l0 + 1) * u ** l0 * np.exp(-u)
+               * eval_genlaguerre(p0, l0, u) ** 2)
+        got = (0.65 * radial_profile(r, beam)) ** 2
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-300)
 
 
 class TestPhaseCorrelationLength:
@@ -109,3 +139,10 @@ class TestBeamParams:
             BeamParams(waist=0.0, l0=1)
         with pytest.raises(ValueError):
             BeamParams(waist=1.0, l0=1, p0=-1)
+
+    @pytest.mark.parametrize("waist", [math.inf, math.nan])
+    def test_rejects_non_finite_waist(self, waist):
+        # an infinite waist makes xi infinite and r0 = xi/x infinite too, so
+        # any requested x would silently become the no-turbulence limit
+        with pytest.raises(ValueError, match="finite"):
+            BeamParams(waist=waist, l0=1)

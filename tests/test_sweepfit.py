@@ -98,6 +98,21 @@ class TestFindEsd:
         assert res.x_star is None
         assert res.reason == "no death in range"
 
+    def test_scan_starts_at_x_min(self):
+        res = find_esd(BEAM1, BELL, tol=1e-8, x_max=1.0, x_min=0.9)
+        assert res.x_star is None
+        assert res.reason == "zero at x_min"
+
+    def test_x_min_before_death_finds_same_root(self):
+        full = find_esd(BEAM1, BELL, tol=1e-10)
+        late = find_esd(BEAM1, BELL, tol=1e-10, x_max=1.0, x_min=0.5)
+        assert late.x_star == pytest.approx(full.x_star, abs=1e-8)
+
+    @pytest.mark.parametrize("x_min, x_max", [(-0.1, 1.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_rejects_bad_range(self, x_min, x_max):
+        with pytest.raises(ValueError):
+            find_esd(BEAM1, BELL, x_max=x_max, x_min=x_min)
+
 
 class TestDetectSuddenChange:
     def test_theta_pi_third_change_point(self):

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import channel_ab_bruteforce, channel_ab_quad, large_x_limit
 from oamturb.lgmath import BeamParams, phase_correlation_length
 from oamturb.turbulence import (
+    _TAIL_MASS,
     ChannelCoefficients,
     ConvergenceFailure,
     TurbulenceParams,
+    _u_max,
     channel_ab,
     fried_parameter,
     lambda_element,
@@ -32,6 +36,9 @@ class TestPhaseStructure:
     def test_rejects_negative_separation(self):
         with pytest.raises(ValueError):
             phase_structure(-1.0, TurbulenceParams(1.0))
+
+    def test_overflow_is_infinite(self):
+        assert phase_structure(1.0, TurbulenceParams(1e-300)) == math.inf
 
 
 class TestFriedParameter:
@@ -216,6 +223,28 @@ class TestStrongTurbulence:
         beam = BeamParams(waist=1.0, l0=10)
         with pytest.raises(ConvergenceFailure):
             channel_ab(beam, r0_from_x(beam, 1e7), 1e-9)
+
+    @pytest.mark.parametrize("turb", [TurbulenceParams(1e-300), r0_from_x(BeamParams(), 1e200)])
+    def test_structure_overflow_raises(self, turb):
+        with pytest.raises(ConvergenceFailure):
+            channel_ab(BeamParams(), turb, 1e-9)
+        with pytest.raises(ConvergenceFailure):
+            lambda_element(1, 1, 1, 1, BeamParams(), turb, 1e-9)
+
+
+@pytest.mark.parametrize("p0", [0, 1, 2, 5])
+@pytest.mark.parametrize("l0", [1, 10, 40])
+def test_radial_cut_tail_mass(l0, p0):
+    # mass of the normalized radial weight p0!/(p0+l0)! u^l0 L^2 e^-u beyond the
+    # cut; a Gamma(l0 + 2 p0 + 1) cut without the Laguerre leading coefficient
+    # leaves up to 6e-16 here at p0 = 2
+    umax = _u_max(BeamParams(waist=1.0, l0=l0, p0=p0))
+    log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
+    tail, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
+                     * eval_genlaguerre(p0, l0, u) ** 2,
+                     umax, math.inf, epsabs=0.0, epsrel=1e-8)
+    assert err <= 1e-6 * tail
+    assert tail <= _TAIL_MASS
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-11])
