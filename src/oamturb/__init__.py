@@ -44,7 +44,6 @@ from .turbulence import (
     TurbulenceParams,
     channel_ab,
     fried_parameter,
-    lambda_element,
     phase_structure,
     r0_from_x,
     x_ratio,
@@ -59,7 +58,7 @@ __all__ = [
     "apply_channel", "channel_ab", "collapse_check", "concurrence_analytic",
     "concurrence_x", "detect_sudden_change", "eigenvalues_x", "exp_form",
     "find_esd", "fit_exp_form", "fit_poly_form", "fried_parameter", "laguerre",
-    "lambda_element", "lqu", "measure_triple", "phase_correlation_length",
+    "lqu", "measure_triple", "phase_correlation_length",
     "phase_structure", "poly_form", "r0_from_x", "radial_profile",
     "rel_entropy_coherence", "sweep", "von_neumann_entropy", "werner_like",
     "x_ratio",

@@ -137,6 +137,9 @@ def _merge(args: argparse.Namespace) -> dict:
 
 def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     v = _merge(args)
+    for key in ("x", "x_min", "x_max", "tol"):
+        if key in v and not math.isfinite(v[key]):
+            raise ConfigError(f"{key} must be finite, got {v[key]}")
     try:
         beam = BeamParams(waist=v.get("omega0", 1.0), l0=v.get("l0", 1), p0=v.get("p0", 0))
         werner = WernerParams(

@@ -8,8 +8,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .qstate import WernerParams, XState, eigenvalues_x
 from .turbulence import ChannelCoefficients
 
@@ -44,18 +42,23 @@ def concurrence_analytic(w: WernerParams, cc: ChannelCoefficients) -> float:
 
 
 def von_neumann_entropy(eigs) -> float:
-    """Entropy -sum l log2 l in bits, with 0 log 0 = 0."""
-    lam = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
-    if abs(lam.sum() - 1.0) > 1e-10:
-        raise ValueError(f"eigenvalues sum to {lam.sum()}, not a density spectrum")
-    nz = lam[lam > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    """Entropy -sum l log2 l in bits, with 0 log 0 = 0; negative eigenvalues
+    count as zero."""
+    total = entropy = 0.0
+    for v in eigs:
+        v = float(v)
+        if v > 0.0:
+            total += v
+            entropy -= v * math.log2(v)
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"eigenvalues sum to {total}, not a density spectrum")
+    return entropy
 
 
 def rel_entropy_coherence(s: XState) -> float:
     """Relative entropy of coherence S(rho_diag) - S(rho), the entropy cost of
     deleting the off-diagonal elements."""
-    s_diag = von_neumann_entropy(s.populations)
+    s_diag = von_neumann_entropy((s.d11, s.d22, s.d33, s.d44))
     s_full = von_neumann_entropy(eigenvalues_x(s))
     return max(0.0, s_diag - s_full)
 

@@ -94,19 +94,19 @@ def apply_channel(s: XState, cc: ChannelCoefficients) -> XState:
     if norm <= 1e-14:
         raise DegenerateChannel(f"a + b = {a + b} too small to normalize the output")
     aa, ab, bb = a * a, a * b, b * b
-    d = s.populations
-    out = np.array([
-        aa * d[0] + ab * d[1] + ab * d[2] + bb * d[3],
-        ab * d[0] + aa * d[1] + bb * d[2] + ab * d[3],
-        ab * d[0] + bb * d[1] + aa * d[2] + ab * d[3],
-        bb * d[0] + ab * d[1] + ab * d[2] + aa * d[3],
-    ]) / norm
-    assert abs(out.sum() - 1.0) < 1e-12, "channel failed to preserve trace"
+    d1, d2, d3, d4 = s.d11, s.d22, s.d33, s.d44
+    out = (
+        (aa * d1 + ab * d2 + ab * d3 + bb * d4) / norm,
+        (ab * d1 + aa * d2 + bb * d3 + ab * d4) / norm,
+        (ab * d1 + bb * d2 + aa * d3 + ab * d4) / norm,
+        (bb * d1 + ab * d2 + ab * d3 + aa * d4) / norm,
+    )
+    assert abs(sum(out) - 1.0) < 1e-12, "channel failed to preserve trace"
     scale = aa / norm
-    return XState(out[0], out[1], out[2], out[3], scale * s.c14, scale * s.c23)
+    return XState(*out, scale * s.c14, scale * s.c23)
 
 
-def eigenvalues_x(s: XState) -> np.ndarray:
+def eigenvalues_x(s: XState) -> tuple[float, float, float, float]:
     """Eigenvalues of the X state from its two 2x2 blocks, clamped at zero.
 
     Order: outer block (d11/d44 with c14) +/-, then inner block (d22/d33
@@ -116,8 +116,7 @@ def eigenvalues_x(s: XState) -> np.ndarray:
     h_inner = math.hypot(0.5 * (s.d22 - s.d33), abs(s.c23))
     m_outer = 0.5 * (s.d11 + s.d44)
     m_inner = 0.5 * (s.d22 + s.d33)
-    eigs = np.array([m_outer + h_outer, m_outer - h_outer,
-                     m_inner + h_inner, m_inner - h_inner])
-    if eigs.min() < -_POS_TOL:
-        raise ValueError(f"X state eigenvalue below -{_POS_TOL}: {eigs.min()}")
-    return np.clip(eigs, 0.0, None)
+    eigs = (m_outer + h_outer, m_outer - h_outer, m_inner + h_inner, m_inner - h_inner)
+    if min(eigs) < -_POS_TOL:
+        raise ValueError(f"X state eigenvalue below -{_POS_TOL}: {min(eigs)}")
+    return max(eigs[0], 0.0), max(eigs[1], 0.0), max(eigs[2], 0.0), max(eigs[3], 0.0)

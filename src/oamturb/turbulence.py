@@ -178,35 +178,34 @@ def _gauss01(n: int):
     return rule
 
 
-def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int,
-              full_circle: bool, columns):
-    """One tensor-product Gauss rule for int_0^umax du w(u) int dtheta f(theta)
-    exp(-c(u) sin(theta/2)^(5/3)) over each angular factor f in columns(theta).
+def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int):
+    """One tensor-product Gauss rule for (1/pi) int_0^umax du w(u) int_0^pi dtheta
+    f(theta) exp(-c(u) sin(theta/2)^(5/3)) with f = 1 and f = cos(2 l0 theta).
 
-    The angle runs over [0, pi], or over [0, 2pi] as [0, pi] and its mirror
-    image; either way the result carries the 1/2pi prefactor of the full
-    circle.  Returns (values, sums of |terms|), one entry per column.
+    Returns (values, sums of |terms|), one entry per f.
     """
     s, ws = _gauss01(n_u)
     t, wt = _gauss01(n_th)
     u = umax * s ** 6
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = radial_amplitude(u, beam)
+    if not np.isfinite(amplitude).all():
+        raise ConvergenceFailure(
+            "channel integral: the radial weight overflows the float range at "
+            f"p0={beam.p0} (l0={beam.l0})")
     # radial weight u^|l| L_p^|l|(u)^2 e^-u p!/(p+|l|)! times du/ds = 6 umax s^5
-    radial = ws * 6.0 * umax * s ** 5 * radial_amplitude(u, beam) ** 2
+    radial = ws * 6.0 * umax * s ** 5 * amplitude ** 2
     theta = math.pi * t ** 3
-    w_theta = wt * 3.0 * t ** 2  # dtheta/dt = 3 pi t^2, over pi for the folded circle
-    if full_circle:
-        theta = np.concatenate([theta, 2.0 * math.pi - theta])
-        w_theta = 0.5 * np.concatenate([w_theta, w_theta])
+    w_theta = wt * 3.0 * t ** 2  # dtheta/dt = 3 pi t^2, over pi
     kernel = np.outer(cscale * u ** (5.0 / 6.0), -np.abs(np.sin(0.5 * theta)) ** (5.0 / 3.0))
     np.exp(kernel, out=kernel)  # in place: the largest array of the rule, ~1 MB
-    weights = np.stack(columns(theta)) * w_theta
+    weights = np.stack((w_theta, np.cos(2 * abs(beam.l0) * theta) * w_theta))
     inner = kernel @ np.concatenate([weights, np.abs(weights)]).T
     values, abs_sums = np.split(radial @ inner, 2)
     return values, abs_sums
 
 
-def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float,
-                       full_circle: bool, columns, what: str):
+def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
     """Integrals of _rule_sum to absolute tol, with error estimates.
 
     Doubles the rule size until two successive sizes agree to tol and returns
@@ -224,18 +223,18 @@ def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float,
              if 2.0 * size[1] * math.sqrt(peak) / math.pi >= _PEAK_NODES]
     if len(sizes) < 2:
         raise ConvergenceFailure(
-            f"{what}: turbulence too strong to resolve "
+            "channel integral: turbulence too strong to resolve "
             f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g})")
     coarse = None
     for n_u, n_th in sizes:
-        fine, abs_sums = _rule_sum(beam, cscale, umax, n_u, n_th, full_circle, columns)
+        fine, abs_sums = _rule_sum(beam, cscale, umax, n_u, n_th)
         if coarse is not None:
             errs = np.maximum(np.abs(fine - coarse), _ROUNDOFF * abs_sums + _TAIL_MASS)
             if np.all(errs <= tol):
                 return fine, errs
         coarse = fine
     raise ConvergenceFailure(
-        f"{what} did not reach tol={tol} with a {n_u}x{n_th} rule "
+        f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule "
         f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g}); "
         f"last error estimate {float(np.max(errs)):.3g}")
 
@@ -252,10 +251,7 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
         raise ValueError(f"tolerance must be positive, got {tol}")
     if math.isinf(turb.fried_r0):
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
-    n = 2 * abs(beam.l0)
-    (a, b), (err_a, err_b) = _channel_integrals(
-        beam, turb, tol, False,
-        lambda th: (np.ones_like(th), np.cos(n * th)), "channel integral")
+    (a, b), (err_a, err_b) = _channel_integrals(beam, turb, tol)
     a, b, err_a, err_b = (float(v) for v in (a, b, err_a, err_b))
     if b < 0.0:
         if b < -NEGATIVE_B_TOL:
@@ -265,31 +261,3 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
     a = min(a, 1.0)
     return ChannelCoefficients(a, b, err_a, err_b)
 
-
-def lambda_element(l_in: int, lp_in: int, l_out: int, lp_out: int,
-                   beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> complex:
-    """General element of the single-photon map for indices in {+l0, -l0}.
-
-    Enforces the angular-momentum selection rule (exact zero when violated)
-    and carries the phase factor exp(-i theta [l_out + lp_out - l_in - lp_in]/2).
-    Unlike channel_ab, integrates the full [0, 2pi] circle so the analytic
-    vanishing of the imaginary part is checked numerically, not imposed.
-    """
-    valid = {beam.l0, -beam.l0}
-    for idx in (l_in, lp_in, l_out, lp_out):
-        if idx not in valid:
-            raise ValueError(f"index {idx} outside the qubit subspace {{+l0, -l0}}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if l_in - lp_in != l_out - lp_out:
-        return 0.0 + 0.0j
-    if math.isinf(turb.fried_r0):
-        return (1.0 if l_in == l_out else 0.0) + 0.0j
-
-    n = (l_out + lp_out - l_in - lp_in) // 2
-    # e^{-i n theta} = cos(n theta) - i sin(n theta)
-    (re, im), _ = _channel_integrals(
-        beam, turb, tol, True,
-        lambda th: (np.cos(n * th), np.sin(n * th)),
-        f"map element ({l_in},{lp_in} -> {l_out},{lp_out})")
-    return complex(re, -im)

@@ -9,6 +9,7 @@ from scipy.special import eval_genlaguerre, gamma, gammainccinv, gammaincinv, ga
 
 from oamturb import XState
 from oamturb.lgmath import BeamParams, phase_correlation_length
+from oamturb.turbulence import TurbulenceParams
 
 
 @pytest.fixture()
@@ -73,33 +74,76 @@ def _radial_range(l0: int, p0: int):
 
 @lru_cache(maxsize=None)
 def channel_ab_quad(l0: int, p0: int, x: float, eps: float = 1e-13):
-    """(a, b) by nested scipy.integrate.quad in the physical (r, theta) variables.
-
-    Independent of the package's substituted Gauss rule.  The angular kernel
-    exp(-C(r) sin(theta/2)^(5/3)) peaks at theta = 0 with width about
-    2 C(r)^(-3/5); breakpoints at multiples of that width keep quad from
-    stepping over the peak in strong turbulence.
-    """
-    labs = abs(l0)
+    """(a, b) by nested scipy.integrate.quad in the physical (r, theta) variables,
+    independent of the package's substituted Gauss rule."""
     r0 = phase_correlation_length(BeamParams(waist=1.0, l0=l0, p0=p0)) / x
+    n = 2 * abs(l0)
+    return (_map_integral(l0, p0, r0, lambda th: 1.0, eps),
+            _map_integral(l0, p0, r0, lambda th: math.cos(n * th), eps))
+
+
+def _map_integral(l0: int, p0: int, r0: float, f, eps: float, full_circle: bool = False):
+    """(1/pi) int_0^inf dr r R(r)^2 int dtheta f(theta) exp(-D_phi(2 r |sin(theta/2)|)/2)
+    by nested quad for the unit-waist LG mode, the angle over [0, pi] or,
+    with full_circle, over [0, 2pi] as [0, pi] plus [pi, 2pi] (then halved).
+
+    The angular kernel exp(-C(r) sin(theta/2)^(5/3)) peaks at theta = 0 (and
+    2pi) with width about 2 C(r)^(-3/5); breakpoints at multiples of that
+    width keep quad from stepping over the peak in strong turbulence.
+    """
     density = _radial_density(l0, p0)
     r_max, breaks = _radial_range(l0, p0)
 
-    def angular(r, n):
+    def angular(r):
         c = HALF_STRUCTURE * (2.0 * r / r0) ** (5.0 / 3.0)
         width = 2.0 * c ** -0.6
         points = [k * width for k in (1, 4, 16, 64) if k * width < math.pi]
-        return quad(lambda th: math.cos(n * th) * math.exp(-c * math.sin(0.5 * th) ** (5.0 / 3.0)),
-                    0.0, math.pi, points=points or None, epsabs=eps / 10, epsrel=0.0,
-                    limit=400)[0]
 
-    def coefficient(n):
-        return quad(lambda r: density(r) * angular(r, n), 0.0, r_max, points=breaks,
-                    epsabs=eps, epsrel=0.0, limit=400)[0] / math.pi
+        def kernel(th):
+            return f(th) * math.exp(-c * abs(math.sin(0.5 * th)) ** (5.0 / 3.0))
+
+        value = quad(kernel, 0.0, math.pi, points=points or None, epsabs=eps / 10,
+                     epsrel=0.0, limit=400)[0]
+        if full_circle:
+            mirrored = [2.0 * math.pi - p for p in points]
+            value += quad(kernel, math.pi, 2.0 * math.pi, points=mirrored or None,
+                          epsabs=eps / 10, epsrel=0.0, limit=400)[0]
+            value *= 0.5
+        return value
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        return coefficient(0), coefficient(2 * labs)
+        return quad(lambda r: density(r) * angular(r), 0.0, r_max, points=breaks,
+                    epsabs=eps, epsrel=0.0, limit=400)[0] / math.pi
+
+
+def lambda_element(l_in: int, lp_in: int, l_out: int, lp_out: int,
+                   beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> complex:
+    """General element of the single-photon map for indices in {+l0, -l0},
+    by nested quad.
+
+    Enforces the angular-momentum selection rule (exact zero when violated)
+    and carries the phase factor exp(-i theta [l_out + lp_out - l_in - lp_in]/2).
+    Unlike channel_ab, integrates the full [0, 2pi] circle so the analytic
+    vanishing of the imaginary part is checked numerically, not imposed.
+    """
+    valid = {beam.l0, -beam.l0}
+    for idx in (l_in, lp_in, l_out, lp_out):
+        if idx not in valid:
+            raise ValueError(f"index {idx} outside the qubit subspace {{+l0, -l0}}")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if l_in - lp_in != l_out - lp_out:
+        return 0.0 + 0.0j
+    if math.isinf(turb.fried_r0):
+        return (1.0 if l_in == l_out else 0.0) + 0.0j
+
+    n = (l_out + lp_out - l_in - lp_in) // 2
+    r0 = turb.fried_r0 / beam.waist  # the map depends on w0/r0 only
+    # e^{-i n theta} = cos(n theta) - i sin(n theta)
+    re = _map_integral(beam.l0, beam.p0, r0, lambda th: math.cos(n * th), tol, True)
+    im = _map_integral(beam.l0, beam.p0, r0, lambda th: math.sin(n * th), tol, True)
+    return complex(re, -im)
 
 
 def large_x_limit(l0: int, p0: int = 0) -> float:
@@ -146,6 +190,18 @@ def to_dense(s: XState) -> np.ndarray:
     m[1, 2] = s.c23
     m[2, 1] = s.c23.conjugate()
     return m
+
+
+def coherence_dense(s: XState) -> float:
+    """Relative entropy of coherence S(diag rho) - S(rho) from the dense matrix,
+    the spectrum by eigvalsh."""
+    def entropy(lam):
+        lam = np.clip(lam, 0.0, None)
+        nz = lam[lam > 0.0]
+        return float(-np.sum(nz * np.log2(nz)))
+
+    dense = to_dense(s)
+    return entropy(np.diag(dense).real) - entropy(np.linalg.eigvalsh(dense))
 
 
 def sqrt_psd(dense: np.ndarray) -> np.ndarray:

@@ -85,6 +85,15 @@ class TestChannelCommand:
         assert out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, key", [
+        (["--x", "nan"], "x"), (["--x", "inf"], "x"), (["--x", "1", "--tol", "inf"], "tol")],
+        ids=["x_nan", "x_inf", "tol_inf"])
+    def test_non_finite_value_rejected(self, args, key, capsys):
+        code, out, err = run_cli(["channel", *args], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
+
     def test_physical_spec(self, capsys):
         k = 2.0 * math.pi / 1550e-9
         code, out, _ = run_cli(
@@ -156,6 +165,15 @@ class TestSweepCommand:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, key", [(["--x-max", "inf"], "x_max"), (["--x-min", "nan"], "x_min")],
+                             ids=["x_max_inf", "x_min_nan"])
+    def test_non_finite_grid_rejected(self, args, key, tmp_path, capsys):
+        code, out, err = run_cli(["sweep", *args, "--out", str(tmp_path / "f.csv")], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_out_directory(self, tmp_path, capsys):
@@ -279,6 +297,12 @@ class TestEsdCommand:
         assert rep["esd_x"] == "none"
         assert rep["reason"] == "zero at x_min"
 
+    def test_non_finite_grid_rejected(self, capsys):
+        code, out, err = run_cli(["esd", "--x-max", "nan"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: x_max must be finite") and err.count("\n") == 1
+
     def test_revival_is_numerical_failure(self, monkeypatch, capsys):
         # concurrence zero on [0.5, 1] only: a revival the scan must not bracket
         monkeypatch.setattr(sweepfit, "_analytic_concurrence_at",
@@ -325,6 +349,14 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert err.startswith("error: malformed config file") and err.count("\n") == 1
 
+    def test_non_finite_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[turbulence]\nx = inf\n")
+        code, out, err = run_cli(["channel", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: x must be finite")
+
     def test_csv_round_trip(self, tmp_path, capsys):
         out_file = tmp_path / "rt.csv"
         run_cli(["sweep", "--x-max", "0.3", "--x-points", "4", "--tol", "1e-8",
@@ -342,3 +374,17 @@ def test_runtime_does_not_import_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_laguerre_overflow_is_clean_numerical_failure():
+    # at p0 = 400 the Laguerre recurrence overflows inside the radial rule;
+    # run in a fresh interpreter so that any numpy warning reaches stderr
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "oamturb", "channel", "--x", "1", "--p0", "400"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_NUMERICAL
+    assert done.stdout == ""
+    assert "Warning" not in done.stderr
+    assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
+    assert "p0=400" in done.stderr

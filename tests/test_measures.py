@@ -8,6 +8,7 @@ from conftest import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    coherence_dense,
     concurrence_wootters_oracle,
     lqu_dense,
     random_x_state,
@@ -91,6 +92,14 @@ class TestEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy([0.5, 0.4])
 
+    @pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+    def test_float_from_any_sequence(self, container):
+        entropy = von_neumann_entropy(container([0.5, 0.25, 0.25]))
+        assert type(entropy) is float
+        assert entropy == pytest.approx(1.5, abs=1e-15)
+        with pytest.raises(ValueError):
+            von_neumann_entropy(container([0.5, 0.4]))
+
 
 class TestCoherence:
     def test_bell_is_one(self):
@@ -106,6 +115,15 @@ class TestCoherence:
         expected = 2.0 - von_neumann_entropy([0.25, 0.25, 0.375, 0.125])
         assert rel_entropy_coherence(s) == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(0.094361, abs=1e-6)
+
+    def test_matches_dense_oracle(self, rng):
+        states = [random_x_state(rng) for _ in range(10_000)]
+        for _ in range(1000):
+            w = WernerParams(float(rng.uniform()), float(rng.uniform(0.0, math.pi)),
+                             float(rng.uniform(0.0, 2.0 * math.pi)))
+            states.append(apply_channel(werner_like(w), random_cc(rng)))
+        worst = max(abs(rel_entropy_coherence(s) - coherence_dense(s)) for s in states)
+        assert worst <= 1e-12
 
     def test_zero_iff_coherences_vanish(self, rng):
         for _ in range(100):

@@ -106,7 +106,7 @@ class TestApplyChannel:
     def test_preserves_positivity(self, rng):
         for _ in range(1000):
             out = apply_channel(random_x_state(rng), random_cc(rng))
-            assert eigenvalues_x(out).min() >= 0.0
+            assert min(eigenvalues_x(out)) >= 0.0
 
     def test_preserves_x_form(self, rng):
         mask = np.ones((4, 4), dtype=bool)
@@ -144,6 +144,16 @@ class TestEigenvaluesX:
     def test_werner_half(self):
         eigs = eigenvalues_x(werner_like(WernerParams(0.5, math.pi / 2)))
         assert sorted(eigs) == pytest.approx([0.125, 0.125, 0.125, 0.625], abs=1e-14)
+
+    def test_four_non_negative_floats(self, rng):
+        states = [werner_like(BELL), apply_channel(werner_like(BELL), ChannelCoefficients(0.7, 0.2))]
+        states += [random_x_state(rng) for _ in range(200)]
+        for s in states:
+            eigs = eigenvalues_x(s)
+            assert isinstance(eigs, tuple) and len(eigs) == 4
+            assert all(isinstance(e, float) and e >= 0.0 for e in eigs)
+        # built from Python floats, the state step stays on Python floats
+        assert all(type(e) is float for e in eigenvalues_x(states[1]))
 
     def test_against_dense_eigensolver(self, rng):
         for _ in range(300):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln
 
-from conftest import channel_ab_bruteforce, channel_ab_quad, large_x_limit
+from conftest import channel_ab_bruteforce, channel_ab_quad, lambda_element, large_x_limit
 from oamturb.lgmath import BeamParams, phase_correlation_length
 from oamturb.turbulence import (
     _TAIL_MASS,
@@ -15,7 +15,6 @@ from oamturb.turbulence import (
     _u_max,
     channel_ab,
     fried_parameter,
-    lambda_element,
     phase_structure,
     r0_from_x,
     x_ratio,
@@ -228,8 +227,6 @@ class TestStrongTurbulence:
     def test_structure_overflow_raises(self, turb):
         with pytest.raises(ConvergenceFailure):
             channel_ab(BeamParams(), turb, 1e-9)
-        with pytest.raises(ConvergenceFailure):
-            lambda_element(1, 1, 1, 1, BeamParams(), turb, 1e-9)
 
 
 @pytest.mark.parametrize("p0", [0, 1, 2, 5])
