@@ -59,29 +59,29 @@ def fmt(v) -> str:
     return f"{v:.12g}"
 
 
-_FLOAT_KEYS = {
-    "omega0", "gamma", "theta", "phi", "r0", "cn2", "k", "path_length",
-    "x", "x_min", "x_max", "tol",
+# every setting once: key -> (config-file section, type, flag help); the flag
+# is the key with "-" for "_" (--x-min sets x_min)
+_KEYS = {
+    "omega0": ("beam", float, "beam waist"),
+    "l0": ("beam", int, "azimuthal index (|l0| >= 1)"),
+    "p0": ("beam", int, "radial index"),
+    "gamma": ("werner", float, "state purity in [0, 1]"),
+    "theta": ("werner", float, "state angle theta in units of pi"),
+    "phi": ("werner", float, "state phase phi in units of pi"),
+    "r0": ("turbulence", float, "Fried parameter"),
+    "cn2": ("turbulence", float, "refractive-index structure constant"),
+    "k": ("turbulence", float, "optical wavenumber"),
+    "path_length": ("turbulence", float, "propagation distance"),
+    "x": ("turbulence", float, "dimensionless strength xi(l0)/r0"),
+    "x_min": ("turbulence", float, "sweep grid start"),
+    "x_max": ("turbulence", float, "sweep grid end"),
+    "x_points": ("turbulence", int, "sweep grid size"),
+    "tol": ("run", float, "quadrature absolute tolerance"),
+    "out": ("run", str, "output file path"),
+    "form": ("run", str, "fit form"),
+    "input": ("run", str, "existing sweep CSV to fit"),
+    "initial": ("run", str, "comma-separated initial fit parameters"),
 }
-_INT_KEYS = {"l0", "p0", "x_points"}
-_STR_KEYS = {"out", "form", "input", "initial"}
-_SECTIONS = {
-    "beam": {"omega0", "l0", "p0"},
-    "werner": {"gamma", "theta", "phi"},
-    "turbulence": {"r0", "cn2", "k", "path_length", "x", "x_min", "x_max", "x_points"},
-    "run": {"tol", "out", "form", "input", "initial"},
-}
-
-
-def _parse_value(key: str, raw: str):
-    try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {key}: {raw!r}") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -94,14 +94,23 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"malformed config file {path}: {reason}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    if parser.defaults():
+        raise ConfigError("keys under [DEFAULT] are not allowed")
+    sections = dict.fromkeys(section for section, _, _ in _KEYS.values())
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]")
     values = {}
-    for section, keys in _SECTIONS.items():
+    for section in sections:
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
-            if key not in keys:
+            if key not in _KEYS or _KEYS[key][0] != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _KEYS[key][1](raw)
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for {key}: {raw!r}") from exc
     return values
 
 
@@ -112,9 +121,7 @@ class RunConfig:
     beam: BeamParams
     werner: WernerParams
     tol: float
-    turb_mode: str | None     # "r0" | "physical" | "x" | "grid" | None
-    r0: float | None
-    x: float | None
+    turb: TurbulenceParams | None   # the point of channel/measures; None for grid commands
     x_min: float
     x_max: float
     x_points: int
@@ -124,19 +131,10 @@ class RunConfig:
     initial: tuple | None
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in (_FLOAT_KEYS | _INT_KEYS | _STR_KEYS):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return values
-
-
 def build_config(args: argparse.Namespace, command: str) -> RunConfig:
-    v = _merge(args)
+    # flags override the file
+    v = load_config_file(args.config) if args.config else {}
+    v.update((key, val) for key, val in vars(args).items() if key in _KEYS and val is not None)
     for key in ("x", "x_min", "x_max", "tol"):
         if key in v and not math.isfinite(v[key]):
             raise ConfigError(f"{key} must be finite, got {v[key]}")
@@ -154,51 +152,32 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     if not tol > 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
 
-    has_r0 = "r0" in v
-    physical = [key for key in ("cn2", "k", "path_length") if key in v]
-    has_x = "x" in v
-    grid_keys = [key for key in ("x_min", "x_max", "x_points") if key in v]
-    modes = []
-    if has_r0:
-        modes.append("r0")
-    if physical:
-        if len(physical) < 3:
-            raise ConfigError("physical turbulence spec needs all of cn2, k, path_length")
-        modes.append("physical")
-    if has_x:
-        modes.append("x")
-    if grid_keys:
-        modes.append("grid")
-
+    if 0 < sum(key in v for key in ("cn2", "k", "path_length")) < 3:
+        raise ConfigError("physical turbulence spec needs all of cn2, k, path_length")
+    # cn2 stands for the whole physical triple from here on
+    point = [key for key in ("r0", "cn2", "x") if key in v]
     if command in ("channel", "measures"):
-        if len(modes) != 1 or modes[0] == "grid":
+        if len(point) != 1 or any(key in v for key in ("x_min", "x_max", "x_points")):
             raise ConfigError(
                 f"{command} requires exactly one turbulence spec: r0, cn2/k/path_length, or x")
-    elif command in ("sweep", "esd"):
-        if any(m in modes for m in ("r0", "physical", "x")):
-            raise ConfigError(f"{command} takes an x grid (x_min/x_max/x_points), not a point spec")
-        modes = ["grid"]
-    elif command == "fit":
-        if any(m in modes for m in ("r0", "physical", "x")):
-            raise ConfigError("fit takes an x grid or --input CSV, not a point spec")
-        modes = ["grid"]
+    elif point:
+        grid = "an x grid or --input CSV" if command == "fit" else "an x grid (x_min/x_max/x_points)"
+        raise ConfigError(f"{command} takes {grid}, not a point spec")
 
-    r0 = None
-    x = None
-    mode = modes[0] if modes else None
-    if mode == "r0":
-        r0 = v["r0"]
-        if not r0 > 0:
-            raise ConfigError(f"r0 must be positive, got {r0}")
-    elif mode == "physical":
+    turb = None
+    if "r0" in point:
+        if not v["r0"] > 0:
+            raise ConfigError(f"r0 must be positive, got {v['r0']}")
+        turb = TurbulenceParams(v["r0"])
+    elif "cn2" in point:
         try:
-            r0 = TurbulenceParams.from_physical(v["cn2"], v["k"], v["path_length"]).fried_r0
+            turb = TurbulenceParams.from_physical(v["cn2"], v["k"], v["path_length"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    elif mode == "x":
-        x = v["x"]
-        if x < 0:
-            raise ConfigError(f"x must be non-negative, got {x}")
+    elif "x" in point:
+        if v["x"] < 0:
+            raise ConfigError(f"x must be non-negative, got {v['x']}")
+        turb = r0_from_x(beam, v["x"])
 
     x_min = v.get("x_min", 0.0)
     x_max = v.get("x_max", 3.0)
@@ -213,40 +192,34 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     initial = None
     if "initial" in v:
         try:
-            parts = tuple(float(t) for t in str(v["initial"]).split(","))
+            initial = tuple(float(t) for t in v["initial"].split(","))
         except ValueError as exc:
             raise ConfigError(f"invalid initial guess: {v['initial']!r}") from exc
-        if len(parts) != 4:
+        if len(initial) != 4:
             raise ConfigError("initial guess needs 4 comma-separated values")
-        initial = parts
+        if not all(map(math.isfinite, initial)):
+            raise ConfigError(f"initial must be finite, got {v['initial']}")
 
     if command == "sweep" and "out" not in v:
         raise ConfigError("sweep requires an output path (--out)")
 
     return RunConfig(
-        beam=beam, werner=werner, tol=tol, turb_mode=mode, r0=r0, x=x,
+        beam=beam, werner=werner, tol=tol, turb=turb,
         x_min=x_min, x_max=x_max, x_points=x_points,
         out=v.get("out"), form=form, input=v.get("input"), initial=initial,
     )
 
 
-def _turbulence_point(cfg: RunConfig) -> TurbulenceParams:
-    if cfg.turb_mode == "x":
-        return r0_from_x(cfg.beam, cfg.x)
-    return TurbulenceParams(cfg.r0)
-
-
-def _grid(cfg: RunConfig):
-    step = (cfg.x_max - cfg.x_min) / (cfg.x_points - 1)
-    return [cfg.x_min + i * step for i in range(cfg.x_points)]
+def _grid(cfg: RunConfig, n: int):
+    step = (cfg.x_max - cfg.x_min) / (n - 1)
+    return [cfg.x_min + i * step for i in range(n)]
 
 
 def cmd_channel(cfg: RunConfig, stdout) -> int:
-    turb = _turbulence_point(cfg)
-    cc = channel_ab(cfg.beam, turb, cfg.tol)
+    cc = channel_ab(cfg.beam, cfg.turb, cfg.tol)
     for key, val in (
         ("a", cc.a), ("b", cc.b), ("err_a", cc.err_a), ("err_b", cc.err_b),
-        ("x", x_ratio(cfg.beam, turb)), ("r0", turb.fried_r0),
+        ("x", x_ratio(cfg.beam, cfg.turb)), ("r0", cfg.turb.fried_r0),
         ("xi", phase_correlation_length(cfg.beam)),
     ):
         print(f"{key}={fmt(val)}", file=stdout)
@@ -254,7 +227,7 @@ def cmd_channel(cfg: RunConfig, stdout) -> int:
 
 
 def cmd_measures(cfg: RunConfig, stdout) -> int:
-    cc = channel_ab(cfg.beam, _turbulence_point(cfg), cfg.tol)
+    cc = channel_ab(cfg.beam, cfg.turb, cfg.tol)
     m = measure_triple(apply_channel(werner_like(cfg.werner), cc))
     for key, val in (
         ("concurrence", m.concurrence), ("coherence", m.coherence_rel_ent),
@@ -292,7 +265,7 @@ def csv_to_rows(path: str) -> list[SweepRow]:
 
 
 def cmd_sweep(cfg: RunConfig, stdout) -> int:
-    rows = sweep(cfg.beam, cfg.werner, _grid(cfg), cfg.tol)
+    rows = sweep(cfg.beam, cfg.werner, _grid(cfg, cfg.x_points), cfg.tol)
     # write beside the target, then rename: an interrupted run never leaves
     # a truncated CSV at --out
     out = Path(cfg.out)
@@ -312,7 +285,7 @@ def cmd_fit(cfg: RunConfig, stdout) -> int:
     if cfg.input:
         rows = csv_to_rows(cfg.input)
     else:
-        rows = sweep(cfg.beam, cfg.werner, _grid(cfg), cfg.tol)
+        rows = sweep(cfg.beam, cfg.werner, _grid(cfg, cfg.x_points), cfg.tol)
     if cfg.form == "poly":
         res = fit_poly_form(rows, cfg.initial or POLY_FORM_INITIAL)
         names = ("A", "p", "B", "C")
@@ -338,9 +311,7 @@ def cmd_esd(cfg: RunConfig, stdout) -> int:
         print(f"esd_x={fmt(res.x_star)}", file=stdout)
     # sudden-change detection needs spacing <= 0.05 whatever the esd grid was
     n_sc = max(cfg.x_points, int(math.ceil((cfg.x_max - cfg.x_min) / 0.05)) + 1)
-    step = (cfg.x_max - cfg.x_min) / (n_sc - 1)
-    rows = sweep(cfg.beam, cfg.werner,
-                 [cfg.x_min + i * step for i in range(n_sc)], cfg.tol)
+    rows = sweep(cfg.beam, cfg.werner, _grid(cfg, n_sc), cfg.tol)
     change = detect_sudden_change(rows, cfg.beam, cfg.werner, cfg.tol)
     print(f"sudden_change_x={fmt(change) if change is not None else 'none'}", file=stdout)
     return EXIT_OK
@@ -353,29 +324,6 @@ _COMMANDS = {
     "esd": cmd_esd,
     "measures": cmd_measures,
 }
-
-
-def _add_common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="key=value config file with [beam]/[werner]/[turbulence]/[run] sections")
-    sub.add_argument("--omega0", type=float, help="beam waist")
-    sub.add_argument("--l0", type=int, help="azimuthal index (|l0| >= 1)")
-    sub.add_argument("--p0", type=int, help="radial index")
-    sub.add_argument("--gamma", type=float, help="state purity in [0, 1]")
-    sub.add_argument("--theta", type=float, help="state angle theta in units of pi")
-    sub.add_argument("--phi", type=float, help="state phase phi in units of pi")
-    sub.add_argument("--r0", type=float, help="Fried parameter")
-    sub.add_argument("--cn2", type=float, help="refractive-index structure constant")
-    sub.add_argument("--k", type=float, help="optical wavenumber")
-    sub.add_argument("--path-length", dest="path_length", type=float, help="propagation distance")
-    sub.add_argument("--x", type=float, help="dimensionless strength xi(l0)/r0")
-    sub.add_argument("--x-min", dest="x_min", type=float, help="sweep grid start")
-    sub.add_argument("--x-max", dest="x_max", type=float, help="sweep grid end")
-    sub.add_argument("--x-points", dest="x_points", type=int, help="sweep grid size")
-    sub.add_argument("--tol", type=float, help="quadrature absolute tolerance")
-    sub.add_argument("--out", help="output file path")
-    sub.add_argument("--form", choices=("poly", "exp"), help="fit form")
-    sub.add_argument("--input", help="existing sweep CSV to fit")
-    sub.add_argument("--initial", help="comma-separated initial fit parameters")
 
 
 def main(argv=None) -> int:
@@ -391,7 +339,11 @@ def main(argv=None) -> int:
         ("esd", "entanglement sudden-death threshold and LQU sudden change"),
         ("measures", "concurrence, coherence and LQU for one configuration"),
     ):
-        _add_common_flags(subparsers.add_parser(name, help=doc))
+        sub = subparsers.add_parser(name, help=doc)
+        sub.add_argument("--config", help="key=value config file with [beam]/[werner]/[turbulence]/[run] sections")
+        for key, (_, kind, text) in _KEYS.items():
+            choices = ("poly", "exp") if key == "form" else None
+            sub.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, help=text)
     args = parser.parse_args(argv)
 
     try:

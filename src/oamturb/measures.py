@@ -43,13 +43,15 @@ def concurrence_analytic(w: WernerParams, cc: ChannelCoefficients) -> float:
 
 def von_neumann_entropy(eigs) -> float:
     """Entropy -sum l log2 l in bits, with 0 log 0 = 0; negative eigenvalues
-    count as zero."""
+    count as zero; a NaN eigenvalue raises."""
     total = entropy = 0.0
     for v in eigs:
         v = float(v)
         if v > 0.0:
             total += v
             entropy -= v * math.log2(v)
+        elif math.isnan(v):
+            raise ValueError("NaN eigenvalue, not a density spectrum")
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"eigenvalues sum to {total}, not a density spectrum")
     return entropy

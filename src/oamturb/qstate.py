@@ -52,11 +52,12 @@ class XState:
         d = (self.d11, self.d22, self.d33, self.d44)
         if min(d) < -_POS_TOL:
             raise ValueError(f"negative population in X state: {d}")
-        if abs(sum(d) - 1.0) > _TRACE_TOL:
+        # negated comparisons, so that a NaN entry fails them
+        if not abs(sum(d) - 1.0) <= _TRACE_TOL:
             raise ValueError(f"X state trace {sum(d)} != 1")
-        if abs(self.c14) ** 2 > self.d11 * self.d44 + _POS_TOL:
+        if not abs(self.c14) ** 2 <= self.d11 * self.d44 + _POS_TOL:
             raise ValueError("outer block of X state not positive: |c14|^2 > d11*d44")
-        if abs(self.c23) ** 2 > self.d22 * self.d33 + _POS_TOL:
+        if not abs(self.c23) ** 2 <= self.d22 * self.d33 + _POS_TOL:
             raise ValueError("inner block of X state not positive: |c23|^2 > d22*d33")
 
     @property

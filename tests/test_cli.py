@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oamturb import sweepfit
+from oamturb import cli, sweepfit
 from oamturb.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -240,6 +240,15 @@ class TestFitCommand:
              "--initial", "1,2,3"], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_initial_rejected(self, value, capsys):
+        code, out, err = run_cli(
+            ["fit", "--form", "poly", "--input", str(DATA / "synthetic_decay.csv"),
+             "--initial", f"{value},1,1,1"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: initial") and err.count("\n") == 1
+
     @pytest.mark.parametrize("name", ["missing.csv", "."])
     def test_unreadable_input(self, name, tmp_path, capsys):
         code, _, err = run_cli(
@@ -349,6 +358,15 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert err.startswith("error: malformed config file") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("section", ["runn", "DEFAULT"])
+    def test_unknown_section_rejected(self, section, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\ntol = 1e-3\n")
+        code, out, err = run_cli(["measures", "--config", str(cfg), "--x", "0.5"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and f"[{section}]" in err and err.count("\n") == 1
+
     def test_non_finite_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[turbulence]\nx = inf\n")
@@ -364,6 +382,67 @@ class TestConfigFile:
         rows = csv_to_rows(str(out_file))
         assert len(rows) == 4
         assert rows[0].a == 1.0 and rows[0].lqu_branch == 1
+
+
+# every setting: its config section, a value other than the default, and a
+# command line that takes it; written out here to check the CLI's own table
+SETTINGS = {
+    "omega0": ("beam", "2.5", ["measures", "--x", "0.5"]),
+    "l0": ("beam", "3", ["measures", "--x", "0.5"]),
+    "p0": ("beam", "1", ["measures", "--x", "0.5"]),
+    "gamma": ("werner", "0.7", ["measures", "--x", "0.5"]),
+    "theta": ("werner", "0.25", ["measures", "--x", "0.5"]),
+    "phi": ("werner", "0.5", ["measures", "--x", "0.5"]),
+    "r0": ("turbulence", "0.31", ["channel"]),
+    "cn2": ("turbulence", "1e-15", ["channel", "--k", "4053668", "--path-length", "1000"]),
+    "k": ("turbulence", "4053668", ["channel", "--cn2", "1e-15", "--path-length", "1000"]),
+    "path_length": ("turbulence", "1000", ["channel", "--cn2", "1e-15", "--k", "4053668"]),
+    "x": ("turbulence", "0.8", ["channel"]),
+    "x_min": ("turbulence", "0.5", ["sweep", "--out", "f.csv"]),
+    "x_max": ("turbulence", "2", ["sweep", "--out", "f.csv"]),
+    "x_points": ("turbulence", "7", ["sweep", "--out", "f.csv"]),
+    "tol": ("run", "1e-7", ["measures", "--x", "0.5"]),
+    "out": ("run", "f.csv", ["sweep"]),
+    "form": ("run", "exp", ["fit", "--input", "d.csv"]),
+    "input": ("run", "d.csv", ["fit", "--form", "poly"]),
+    "initial": ("run", "1,2,3,4", ["fit", "--form", "poly", "--input", "d.csv"]),
+}
+
+
+class TestSettingsTable:
+    @pytest.fixture
+    def resolve(self, monkeypatch, capsys):
+        """Run an argv through main and return the RunConfig its command receives."""
+        got = []
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name, lambda cfg, stdout: got.append(cfg) or EXIT_OK)
+
+        def run(argv):
+            assert run_cli(argv, capsys) == (EXIT_OK, "", "")
+            return got.pop()
+        return run
+
+    def test_covers_every_key(self):
+        assert set(SETTINGS) == set(cli._KEYS)
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_flag_and_file_resolve_alike(self, key, resolve, tmp_path):
+        section, value, argv = SETTINGS[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        from_flag = resolve([*argv, "--" + key.replace("_", "-"), value])
+        assert from_flag == resolve([*argv, "--config", str(cfg)])
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_key_in_wrong_section_rejected(self, key, tmp_path, capsys):
+        section, value, argv = SETTINGS[key]
+        wrong = "run" if section == "beam" else "beam"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{wrong}]\n{key} = {value}\n")
+        code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: unknown key {key!r} in section [{wrong}]\n"
 
 
 def test_runtime_does_not_import_scipy():

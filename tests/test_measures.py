@@ -92,6 +92,10 @@ class TestEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy([0.5, 0.4])
 
+    def test_rejects_nan_eigenvalue(self):
+        with pytest.raises(ValueError):
+            von_neumann_entropy([math.nan, 1.0])
+
     @pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
     def test_float_from_any_sequence(self, container):
         entropy = von_neumann_entropy(container([0.5, 0.25, 0.25]))

@@ -182,3 +182,12 @@ class TestXStateValidation:
     def test_rejects_excess_coherence(self):
         with pytest.raises(ValueError):
             XState(0.25, 0.25, 0.25, 0.25, c23=0.5)
+
+    @pytest.mark.parametrize("entries", [
+        (math.nan, 0.5, 0.5, 0.0),
+        (0.0, 0.5, 0.5, 0.0, 0j, complex(math.nan, 0.0)),
+        (0.5, 0.0, 0.0, 0.5, complex(0.0, math.nan)),
+    ], ids=["population", "c23", "c14"])
+    def test_rejects_nan(self, entries):
+        with pytest.raises(ValueError):
+            XState(*entries)
