@@ -11,8 +11,10 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from .lgmath import BeamParams, phase_correlation_length
 from .measures import measure_triple
@@ -20,6 +22,7 @@ from .qstate import WernerParams, apply_channel, werner_like
 from .sweepfit import (
     EXP_FORM_INITIAL,
     POLY_FORM_INITIAL,
+    SUDDEN_CHANGE_SPACING,
     SweepRow,
     detect_sudden_change,
     find_esd,
@@ -39,7 +42,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-CSV_HEADER = "x,a,b,concurrence,coherence,lqu,lqu_branch"
+# the sweep CSV has one column per SweepRow field, in field order
+_COLUMNS = fields(SweepRow)
+CSV_HEADER = ",".join(column.name for column in _COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -86,7 +91,7 @@ _KEYS = {
 
 def load_config_file(path: str) -> dict:
     """Flat key=value config with [beam]/[werner]/[turbulence]/[run] sections."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: "100%.csv"
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -101,9 +106,7 @@ def load_config_file(path: str) -> dict:
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
     values = {}
-    for section in sections:
-        if not parser.has_section(section):
-            continue
+    for section in filter(parser.has_section, sections):
         for key, raw in parser.items(section):
             if key not in _KEYS or _KEYS[key][0] != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
@@ -135,18 +138,15 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     # flags override the file
     v = load_config_file(args.config) if args.config else {}
     v.update((key, val) for key, val in vars(args).items() if key in _KEYS and val is not None)
-    for key in ("x", "x_min", "x_max", "tol"):
+    for key in ("x", "x_min", "x_max", "tol", "cn2", "k", "path_length"):
         if key in v and not math.isfinite(v[key]):
             raise ConfigError(f"{key} must be finite, got {v[key]}")
-    try:
-        beam = BeamParams(waist=v.get("omega0", 1.0), l0=v.get("l0", 1), p0=v.get("p0", 0))
-        werner = WernerParams(
-            gamma=v.get("gamma", 1.0),
-            theta=v.get("theta", 0.5) * math.pi,
-            phi=v.get("phi", 0.0) * math.pi,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    beam = BeamParams(waist=v.get("omega0", 1.0), l0=v.get("l0", 1), p0=v.get("p0", 0))
+    werner = WernerParams(
+        gamma=v.get("gamma", 1.0),
+        theta=v.get("theta", 0.5) * math.pi,
+        phi=v.get("phi", 0.0) * math.pi,
+    )
 
     tol = v.get("tol", 1e-9)
     if not tol > 0:
@@ -170,13 +170,8 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
             raise ConfigError(f"r0 must be positive, got {v['r0']}")
         turb = TurbulenceParams(v["r0"])
     elif "cn2" in point:
-        try:
-            turb = TurbulenceParams.from_physical(v["cn2"], v["k"], v["path_length"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        turb = TurbulenceParams.from_physical(v["cn2"], v["k"], v["path_length"])
     elif "x" in point:
-        if v["x"] < 0:
-            raise ConfigError(f"x must be non-negative, got {v['x']}")
         turb = r0_from_x(beam, v["x"])
 
     x_min = v.get("x_min", 0.0)
@@ -210,12 +205,7 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     )
 
 
-def _grid(cfg: RunConfig, n: int):
-    step = (cfg.x_max - cfg.x_min) / (n - 1)
-    return [cfg.x_min + i * step for i in range(n)]
-
-
-def cmd_channel(cfg: RunConfig, stdout) -> int:
+def cmd_channel(cfg: RunConfig, stdout):
     cc = channel_ab(cfg.beam, cfg.turb, cfg.tol)
     for key, val in (
         ("a", cc.a), ("b", cc.b), ("err_a", cc.err_a), ("err_b", cc.err_b),
@@ -223,10 +213,9 @@ def cmd_channel(cfg: RunConfig, stdout) -> int:
         ("xi", phase_correlation_length(cfg.beam)),
     ):
         print(f"{key}={fmt(val)}", file=stdout)
-    return EXIT_OK
 
 
-def cmd_measures(cfg: RunConfig, stdout) -> int:
+def cmd_measures(cfg: RunConfig, stdout):
     cc = channel_ab(cfg.beam, cfg.turb, cfg.tol)
     m = measure_triple(apply_channel(werner_like(cfg.werner), cc))
     for key, val in (
@@ -234,16 +223,10 @@ def cmd_measures(cfg: RunConfig, stdout) -> int:
         ("lqu", m.lqu), ("lqu_branch", m.lqu_branch),
     ):
         print(f"{key}={fmt(val)}", file=stdout)
-    return EXIT_OK
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            fmt(r.x), fmt(r.a), fmt(r.b), fmt(r.concurrence),
-            fmt(r.coherence), fmt(r.lqu), str(r.lqu_branch),
-        ]))
+    lines = [CSV_HEADER] + [",".join(map(fmt, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -255,17 +238,17 @@ def csv_to_rows(path: str) -> list[SweepRow]:
     rows = []
     for n, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
-        if len(parts) != 7:
+        if len(parts) != len(_COLUMNS):
             raise ConfigError(f"malformed sweep row: {ln!r}")
-        values = [float(v) for v in parts[:6]]
+        values = [column.type(part) for column, part in zip(_COLUMNS, parts)]
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"non-finite value in sweep row {n}: {ln!r}")
-        rows.append(SweepRow(*values, lqu_branch=int(parts[6])))
+        rows.append(SweepRow(*values))
     return rows
 
 
-def cmd_sweep(cfg: RunConfig, stdout) -> int:
-    rows = sweep(cfg.beam, cfg.werner, _grid(cfg, cfg.x_points), cfg.tol)
+def cmd_sweep(cfg: RunConfig, stdout):
+    rows = sweep(cfg.beam, cfg.werner, np.linspace(cfg.x_min, cfg.x_max, cfg.x_points), cfg.tol)
     # write beside the target, then rename: an interrupted run never leaves
     # a truncated CSV at --out
     out = Path(cfg.out)
@@ -278,14 +261,13 @@ def cmd_sweep(cfg: RunConfig, stdout) -> int:
     finally:
         tmp.unlink(missing_ok=True)
     print(f"wrote {len(rows)} rows to {cfg.out}", file=stdout)
-    return EXIT_OK
 
 
-def cmd_fit(cfg: RunConfig, stdout) -> int:
+def cmd_fit(cfg: RunConfig, stdout):
     if cfg.input:
         rows = csv_to_rows(cfg.input)
     else:
-        rows = sweep(cfg.beam, cfg.werner, _grid(cfg, cfg.x_points), cfg.tol)
+        rows = sweep(cfg.beam, cfg.werner, np.linspace(cfg.x_min, cfg.x_max, cfg.x_points), cfg.tol)
     if cfg.form == "poly":
         res = fit_poly_form(rows, cfg.initial or POLY_FORM_INITIAL)
         names = ("A", "p", "B", "C")
@@ -298,10 +280,9 @@ def cmd_fit(cfg: RunConfig, stdout) -> int:
     print(f"rss={fmt(res.rss)}", file=stdout)
     print(f"converged={fmt(res.converged)}", file=stdout)
     print(f"iterations={res.iterations}", file=stdout)
-    return EXIT_OK
 
 
-def cmd_esd(cfg: RunConfig, stdout) -> int:
+def cmd_esd(cfg: RunConfig, stdout):
     res = find_esd(cfg.beam, cfg.werner, cfg.tol, x_max=cfg.x_max,
                    grid_points=cfg.x_points, x_min=cfg.x_min)
     if res.x_star is None:
@@ -309,12 +290,11 @@ def cmd_esd(cfg: RunConfig, stdout) -> int:
         print(f"reason={res.reason}", file=stdout)
     else:
         print(f"esd_x={fmt(res.x_star)}", file=stdout)
-    # sudden-change detection needs spacing <= 0.05 whatever the esd grid was
-    n_sc = max(cfg.x_points, int(math.ceil((cfg.x_max - cfg.x_min) / 0.05)) + 1)
-    rows = sweep(cfg.beam, cfg.werner, _grid(cfg, n_sc), cfg.tol)
+    # sudden-change detection needs a fine enough grid whatever the esd grid was
+    n_sc = max(cfg.x_points, int(math.ceil((cfg.x_max - cfg.x_min) / SUDDEN_CHANGE_SPACING)) + 1)
+    rows = sweep(cfg.beam, cfg.werner, np.linspace(cfg.x_min, cfg.x_max, n_sc), cfg.tol)
     change = detect_sudden_change(rows, cfg.beam, cfg.werner, cfg.tol)
     print(f"sudden_change_x={fmt(change) if change is not None else 'none'}", file=stdout)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -345,20 +325,20 @@ def main(argv=None) -> int:
             choices = ("poly", "exp") if key == "form" else None
             sub.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, help=text)
     args = parser.parse_args(argv)
+    for key in _KEYS:
+        if getattr(args, key) == []:  # argparse reads "--x=--" as no value at all
+            parser.error(f"argument --{key.replace('_', '-')}: expected one argument")
 
+    # the one map from failure to exit code: bad input 2, numerics 3
     try:
-        cfg = build_config(args, args.command)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg, sys.stdout)
+        _COMMANDS[args.command](build_config(args, args.command), sys.stdout)
     except ConvergenceFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

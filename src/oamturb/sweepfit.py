@@ -21,6 +21,13 @@ EXP_FORM_INITIAL = (0.92, 3.50, 1.90, 0.08)
 
 MEASURE_FIELDS = ("concurrence", "coherence", "lqu")
 
+# Widest grid step over which detect_sudden_change trusts a branch switch.
+SUDDEN_CHANGE_SPACING = 0.05
+
+# lm_least_squares converges once an accepted step or the gradient is below these.
+_STEP_TOL = 1e-10
+_GRAD_TOL = 1e-12
+
 
 class GridMismatch(ValueError):
     """Sweeps handed to collapse_check do not share the same x grid."""
@@ -58,8 +65,6 @@ def _row_at(beam: BeamParams, w: WernerParams, x: float, tol: float) -> SweepRow
 def sweep(beam: BeamParams, w: WernerParams, x_grid, tol: float = 1e-9) -> list[SweepRow]:
     """Evaluate channel and measures on each grid point, rows in grid order."""
     xs = [float(x) for x in x_grid]
-    if any(x < 0 for x in xs):
-        raise ValueError("x grid must be non-negative")
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("x grid must be sorted ascending")
     rows = []
@@ -81,6 +86,17 @@ class EsdResult:
 
 def _analytic_concurrence_at(beam, w, x, tol):
     return concurrence_analytic(w, channel_ab(beam, r0_from_x(beam, x), tol))
+
+
+def _bisect(keeps, lo, hi, width):
+    """Midpoint of [lo, hi] once halved below width; lo moves up where keeps(mid)."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if keeps(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
@@ -106,14 +122,8 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
         raise ConvergenceFailure("concurrence revived after reaching zero; grid too coarse?")
     if first_zero == 0:
         return EsdResult(None, "zero at x_min")
-    lo, hi = float(xs[first_zero - 1]), float(xs[first_zero])
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if _analytic_concurrence_at(beam, w, mid, tol) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return EsdResult(0.5 * (lo + hi))
+    return EsdResult(_bisect(lambda x: _analytic_concurrence_at(beam, w, x, tol) > 0.0,
+                             float(xs[first_zero - 1]), float(xs[first_zero]), 1e-9))
 
 
 def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
@@ -128,7 +138,7 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
     if len(rows) < 2:
         return None
     spacing = max(b.x - a.x for a, b in zip(rows, rows[1:]))
-    if spacing > 0.05 + 1e-12:
+    if spacing > SUDDEN_CHANGE_SPACING + 1e-12:
         raise ValueError(f"grid spacing {spacing} too coarse for sudden-change detection")
     change = next((i for i, (r0, r1) in enumerate(zip(rows, rows[1:]))
                    if r0.lqu_branch != r1.lqu_branch), None)
@@ -137,73 +147,68 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
     lo, hi = rows[change].x, rows[change + 1].x
     if beam is None or w is None:
         return 0.5 * (lo + hi)
-    branch_lo = rows[change].lqu_branch
-    while hi - lo > refine_to:
-        mid = 0.5 * (lo + hi)
-        if _row_at(beam, w, mid, tol).lqu_branch == branch_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: _row_at(beam, w, x, tol).lqu_branch == rows[change].lqu_branch,
+                   lo, hi, refine_to)
 
 
 # --- model forms and their Jacobians ---
 
+def _power(x, k):
+    """x^k, 0 where x <= 0, and the base it raised: x where x > 0, else 1,
+    so that log(base) is finite, and 0 where the power is 0."""
+    x = np.asarray(x, dtype=float)
+    base = np.where(x > 0.0, x, 1.0)
+    return np.where(x > 0.0, np.power(base, k), 0.0), base
+
+
 def poly_form(x, params):
     """f(x) = A/(x^p + B) + C with f(0) = A/B + C."""
     A, p, B, C = params
-    x = np.asarray(x, dtype=float)
-    xp = np.where(x > 0.0, np.power(np.where(x > 0.0, x, 1.0), p), 0.0)
-    return A / (xp + B) + C
+    return A / (_power(x, p)[0] + B) + C
 
 
 def _poly_jac(x, params):
     A, p, B, C = params
-    x = np.asarray(x, dtype=float)
-    safe = np.where(x > 0.0, x, 1.0)
-    xp = np.where(x > 0.0, np.power(safe, p), 0.0)
+    xp, base = _power(x, p)
     denom = xp + B
     d_A = 1.0 / denom
-    d_p = np.where(x > 0.0, -A * xp * np.log(safe) / denom ** 2, 0.0)
+    d_p = -A * xp * np.log(base) / denom ** 2
     d_B = -A / denom ** 2
-    d_C = np.ones_like(x)
+    d_C = np.ones_like(xp)
     return np.stack([d_A, d_p, d_B, d_C], axis=1)
 
 
 def exp_form(x, params):
     """g(x) = G [exp(-alpha x^beta) + c] with g(0) = G (1 + c)."""
     G, alpha, beta, c = params
-    x = np.asarray(x, dtype=float)
-    xb = np.where(x > 0.0, np.power(np.where(x > 0.0, x, 1.0), beta), 0.0)
-    return G * (np.exp(-alpha * xb) + c)
+    return G * (np.exp(-alpha * _power(x, beta)[0]) + c)
 
 
 def _exp_jac(x, params):
     G, alpha, beta, c = params
-    x = np.asarray(x, dtype=float)
-    safe = np.where(x > 0.0, x, 1.0)
-    xb = np.where(x > 0.0, np.power(safe, beta), 0.0)
+    xb, base = _power(x, beta)
     e = np.exp(-alpha * xb)
     d_G = e + c
     d_alpha = -G * xb * e
-    d_beta = np.where(x > 0.0, -G * alpha * xb * np.log(safe) * e, 0.0)
-    d_c = np.full_like(x, G)
+    d_beta = -G * alpha * xb * np.log(base) * e
+    d_c = np.full_like(xb, G)
     return np.stack([d_G, d_alpha, d_beta, d_c], axis=1)
 
 
-def lm_least_squares(model, jac, x, y, p0, max_iter=500,
-                     step_tol=1e-10, grad_tol=1e-12):
+@np.errstate(all="ignore")  # a trial whose rss overflows is rejected, not warned about
+def lm_least_squares(model, jac, x, y, p0, max_iter=500):
     """Damped Gauss-Newton (Levenberg-Marquardt) with analytic Jacobian.
 
     Returns (params, rss, converged, iterations, rss_history); the history
     records the rss after each accepted step and is non-increasing by
     construction (steps that raise the rss are rejected and re-damped).
+    Raises ValueError if the rss at p0 is not finite.
     """
     p = np.asarray(p0, dtype=float).copy()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     resid = model(x, p) - y
     rss = float(resid @ resid)
+    if not math.isfinite(rss):
+        raise ValueError(f"the initial fit parameters give a non-finite rss ({rss})")
     history = [rss]
     lam = 1e-3
     converged = False
@@ -212,7 +217,7 @@ def lm_least_squares(model, jac, x, y, p0, max_iter=500,
         iterations += 1
         J = jac(x, p)
         grad = J.T @ resid
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < _GRAD_TOL:
             converged = True
             break
         JtJ = J.T @ J
@@ -230,7 +235,7 @@ def lm_least_squares(model, jac, x, y, p0, max_iter=500,
             p, resid, rss = trial, trial_resid, trial_rss
             history.append(rss)
             lam = max(lam / 3.0, 1e-14)
-            if accepted_step < step_tol:
+            if accepted_step < _STEP_TOL:
                 converged = True
                 break
         else:
@@ -275,9 +280,5 @@ def collapse_check(curves: list[list[SweepRow]], measure: str = "coherence") -> 
     for g in grids[1:]:
         if g.shape != grids[0].shape or np.max(np.abs(g - grids[0])) > 1e-12:
             raise GridMismatch("sweeps do not share the same x grid")
-    cols = [np.array([getattr(r, measure) for r in rows]) for rows in curves]
-    worst = 0.0
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            worst = max(worst, float(np.max(np.abs(cols[i] - cols[j]))))
-    return worst
+    cols = np.array([[getattr(r, measure) for r in rows] for rows in curves])
+    return float(np.max(np.ptp(cols, axis=0)))

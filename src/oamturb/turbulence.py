@@ -249,7 +249,8 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if math.isinf(turb.fried_r0):
+    if _c_scale(beam, turb) == 0.0:
+        # r0 = inf, or turbulence so weak that the kernel exponent underflows
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
     (a, b), (err_a, err_b) = _channel_integrals(beam, turb, tol)
     a, b, err_a, err_b = (float(v) for v in (a, b, err_a, err_b))

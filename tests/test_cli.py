@@ -94,6 +94,22 @@ class TestChannelCommand:
         assert out == ""
         assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
 
+    def test_underflowing_strength_is_no_turbulence(self, capsys):
+        # at r0 = 1e300 the kernel exponent underflows: the r0 = inf answer
+        code, out, err = run_cli(["channel", "--r0", "1e300"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rep = parse_report(out)
+        assert (rep["a"], rep["b"], rep["err_a"], rep["err_b"]) == ("1", "0", "0", "0")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("key", ["cn2", "k", "path_length"])
+    def test_non_finite_physical_spec_rejected(self, key, value, capsys):
+        spec = {"cn2": "1e-15", "k": "4053668", "path_length": "1000", key: value}
+        flags = [item for name, v in spec.items() for item in ("--" + name.replace("_", "-"), v)]
+        code, out, err = run_cli(["channel", *flags], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {key} must be finite, got {value}\n"
+
     def test_physical_spec(self, capsys):
         k = 2.0 * math.pi / 1550e-9
         code, out, _ = run_cli(
@@ -128,7 +144,7 @@ class TestSweepCommand:
         assert code == EXIT_OK
         text = out_file.read_text()
         lines = text.splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == "x,a,b,concurrence,coherence,lqu,lqu_branch"
         assert len(lines) == 10
         assert text.endswith("\n")
         assert not text.endswith(",\n")
@@ -269,6 +285,30 @@ class TestFitCommand:
         assert out == ""
         assert err.startswith("error: non-finite value in sweep row 3") and err.count("\n") == 1
 
+    def test_runs_its_own_sweep(self, capsys):
+        code, out, err = run_cli(["fit", "--form", "poly", "--l0", "10"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rep = parse_report(out)
+        assert rep["form"] == "poly_form" and rep["converged"] == "true"
+        assert float(rep["p"]) == pytest.approx(3.3353009, abs=2e-4)
+
+    @pytest.mark.parametrize("initial", ["1,1,-1,1", "0,0,0,0", "1e300,1,1,1"])
+    def test_initial_with_non_finite_rss_rejected(self, initial, capsys):
+        code, out, err = run_cli(
+            ["fit", "--form", "poly", "--input", str(DATA / "synthetic_decay.csv"),
+             "--initial", initial], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error: the initial fit parameters give a non-finite rss")
+        assert err.count("\n") == 1
+
+    def test_overflowing_trial_steps_are_quiet(self, capsys):
+        # trial steps overflow the exponential: rejected, with no numpy warning
+        code, out, err = run_cli(
+            ["fit", "--form", "exp", "--input", str(DATA / "synthetic_decay.csv"),
+             "--initial", "1,1e3,1,1"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert parse_report(out)["converged"] == "false"
+
     def test_csv_without_origin_row_rejected(self, tmp_path, capsys):
         clipped = tmp_path / "clipped.csv"
         lines = (DATA / "synthetic_decay.csv").read_text().splitlines()
@@ -367,6 +407,29 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith("error: ") and f"[{section}]" in err and err.count("\n") == 1
 
+    def test_percent_in_value_is_literal(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[turbulence]\nx_points = 3\n\n[run]\nout = {tmp_path / '100%.csv'}\n")
+        code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert (tmp_path / "100%.csv").read_text().startswith(CSV_HEADER)
+
+    def test_interpolation_syntax_not_expanded(self, tmp_path, capsys):
+        # with interpolation %(tol)s would read as 1e-08 from the same section
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[turbulence]\nx_points = 3\n\n"
+                       f"[run]\ntol = 1e-08\nout = {tmp_path / '%(tol)s.csv'}\n")
+        code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["%(tol)s.csv", "run.cfg"]
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"[beam]\nl0 = \xff\n")
+        code, out, err = run_cli(["measures", "--x", "0.5", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error: ") and "can't decode" in err and err.count("\n") == 1
+
     def test_non_finite_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[turbulence]\nx = inf\n")
@@ -382,6 +445,46 @@ class TestConfigFile:
         rows = csv_to_rows(str(out_file))
         assert len(rows) == 4
         assert rows[0].a == 1.0 and rows[0].lqu_branch == 1
+
+
+# bad inputs on each path from the settings to the exit code, with the one
+# stderr line each must give; files are written to the working directory
+BAD_INPUTS = {
+    "wrong_type_in_file": (["measures", "--x", "0.5", "--config", "run.cfg"],
+                           {"run.cfg": "[beam]\nl0 = 1.5\n"},
+                           "error: invalid value for l0: '1.5'"),
+    "zero_tol": (["channel", "--x", "1", "--tol", "0"], {},
+                 "error: tolerance must be positive, got 0.0"),
+    "cn2_alone": (["channel", "--cn2", "1e-15"], {},
+                  "error: physical turbulence spec needs all of cn2, k, path_length"),
+    "negative_r0": (["channel", "--r0", "-1"], {}, "error: r0 must be positive, got -1.0"),
+    "negative_cn2": (["channel", "--cn2", "-1", "--k", "1", "--path-length", "1"], {},
+                     "error: Cn2, k, L must all be positive, got (-1.0, 1.0, 1.0)"),
+    "negative_x": (["channel", "--x", "-1"], {},
+                   "error: turbulence strength x must be non-negative, got -1.0"),
+    "one_point_grid": (["sweep", "--x-points", "1", "--out", "f.csv"], {},
+                       "error: invalid x grid: [0.0, 3.0] with 1 points"),
+    "reversed_grid": (["sweep", "--x-min", "2", "--x-max", "1", "--out", "f.csv"], {},
+                      "error: invalid x grid: [2.0, 1.0] with 61 points"),
+    "junk_initial": (["fit", "--form", "poly", "--input", "d.csv", "--initial", "a,b,c,d"], {},
+                     "error: invalid initial guess: 'a,b,c,d'"),
+    "wrong_header": (["fit", "--form", "poly", "--input", "d.csv"],
+                     {"d.csv": "x,a,b\n0,1,0\n"},
+                     "error: d.csv does not carry the expected sweep header"),
+    "six_column_row": (["fit", "--form", "poly", "--input", "d.csv"],
+                       {"d.csv": CSV_HEADER + "\n0,1,0,1,1,1\n"},
+                       "error: malformed sweep row: '0,1,0,1,1,1'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
+    argv, files, message = BAD_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, capsys) == (EXIT_CONFIG, "", message + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 # every setting: its config section, a value other than the default, and a

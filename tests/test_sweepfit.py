@@ -175,6 +175,11 @@ class TestFits:
             poly_form, _poly_jac, xs, ys, (0.4, 2.5, 0.5, 0.2))
         assert all(h1 >= h2 for h1, h2 in zip(history, history[1:]))
 
+    def test_non_finite_initial_rss_rejected(self):
+        rows = synthetic_rows()
+        with pytest.raises(ValueError, match="non-finite rss"):
+            fit_poly_form(rows, initial=(0.0, 0.0, 0.0, 0.0))
+
     def test_requires_origin_row_and_enough_rows(self):
         rows = synthetic_rows()
         with pytest.raises(ValueError):

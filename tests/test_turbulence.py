@@ -97,6 +97,19 @@ class TestChannelAB:
         assert (cc.a, cc.b) == (1.0, 0.0)
         assert (cc.err_a, cc.err_b) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("l0, p0", [(1, 0), (10, 3)])
+    def test_underflowing_strength_is_identity(self, l0, p0):
+        # at x = 1e-200 the kernel exponent underflows to 0: the r0 = inf answer
+        beam = BeamParams(waist=1.0, l0=l0, p0=p0)
+        cc = channel_ab(beam, r0_from_x(beam, 1e-200))
+        assert (cc.a, cc.b, cc.err_a, cc.err_b) == (1.0, 0.0, 0.0, 0.0)
+
+    def test_weakest_resolved_strength(self):
+        # just above the underflow the quadrature still runs and gives a ~ 1
+        beam = BeamParams(waist=1.0, l0=1)
+        cc = channel_ab(beam, r0_from_x(beam, 1e-190))
+        assert cc.a == pytest.approx(1.0, abs=1e-12) and cc.b < 1e-12
+
     def test_strict_coefficient_ordering(self):
         beam = BeamParams(waist=1.0, l0=1)
         cc = channel_ab(beam, r0_from_x(beam, 1.0), 1e-9)
