@@ -250,6 +250,11 @@ def _fit(form_name, model, jac, rows, column, initial, max_iter):
     ys = np.array([getattr(r, column) for r in rows])
     if len(rows) < 8:
         raise ValueError(f"need at least 8 rows to fit, got {len(rows)}")
+    negative = np.flatnonzero(xs < 0.0)
+    if negative.size:
+        # the forms are defined for x >= 0 only; _power would read x < 0 as 0
+        n = negative[0]
+        raise ValueError(f"fit requires x >= 0, got x = {xs[n]:g} in row {n + 1}")
     if xs.min() > 1e-12:
         raise ValueError("fit requires an x = 0 row (anchors the form at the origin)")
     p, rss, converged, iterations, _ = lm_least_squares(

@@ -15,7 +15,8 @@ depends on (w0/r0, l0, p0) only.
 Both integrals use one tensor-product Gauss-Legendre rule after the
 substitutions u = u_max s^6 and theta = pi t^3, which turn the u^(5/6) and
 sin(theta/2)^(5/3) endpoint singularities into smooth powers s^5 and t^5.
-The rule size doubles until two successive sizes agree to the tolerance.
+The rule size grows by about sqrt(2) per step until two successive sizes
+agree to the tolerance.
 """
 
 import math
@@ -34,8 +35,10 @@ _TAIL_MASS = 1e-16
 # b values in (-NEGATIVE_B_TOL, 0) are quadrature noise and clamp to zero.
 NEGATIVE_B_TOL = 1e-10
 
-# (radial, angular) rule sizes, tried in order until two successive sizes agree.
-_RULE_SIZES = ((32, 64), (64, 128), (128, 256), (256, 512))
+# (radial, angular) rule sizes, about sqrt(2) apart, tried in order until two
+# successive sizes agree.  The small ratio stops the certifying pair just above
+# the size the integrand needs.
+_RULE_SIZES = ((32, 64), (45, 90), (64, 128), (90, 180), (128, 256), (181, 362), (256, 512))
 
 # Angular nodes a rule must place inside the theta ~ 0 peak before its
 # difference from the next size is trusted as an error estimate; below this,
@@ -48,6 +51,9 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 # Gauss-Legendre nodes and weights on [0, 1], per size, filled on first use.
 _GAUSS = {}
+
+# The input-free angular factors of _angular, per size, filled on first use.
+_ANGULAR = {}
 
 
 class ConvergenceFailure(RuntimeError):
@@ -178,6 +184,18 @@ def _gauss01(n: int):
     return rule
 
 
+def _angular(n: int):
+    """theta nodes, theta weights (over pi) and -sin(theta/2)^(5/3) of the
+    n-point angular rule in t, theta = pi t^3."""
+    rule = _ANGULAR.get(n)
+    if rule is None:
+        t, wt = _gauss01(n)
+        theta = math.pi * t ** 3
+        rule = _ANGULAR[n] = (theta, wt * 3.0 * t ** 2,  # dtheta/dt = 3 pi t^2, over pi
+                              -np.sin(0.5 * theta) ** (5.0 / 3.0))
+    return rule
+
+
 def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int):
     """One tensor-product Gauss rule for (1/pi) int_0^umax du w(u) int_0^pi dtheta
     f(theta) exp(-c(u) sin(theta/2)^(5/3)) with f = 1 and f = cos(2 l0 theta).
@@ -185,7 +203,7 @@ def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int)
     Returns (values, sums of |terms|), one entry per f.
     """
     s, ws = _gauss01(n_u)
-    t, wt = _gauss01(n_th)
+    theta, w_theta, neg_sin = _angular(n_th)
     u = umax * s ** 6
     with np.errstate(over="ignore", invalid="ignore"):
         amplitude = radial_amplitude(u, beam)
@@ -195,24 +213,24 @@ def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int)
             f"p0={beam.p0} (l0={beam.l0})")
     # radial weight u^|l| L_p^|l|(u)^2 e^-u p!/(p+|l|)! times du/ds = 6 umax s^5
     radial = ws * 6.0 * umax * s ** 5 * amplitude ** 2
-    theta = math.pi * t ** 3
-    w_theta = wt * 3.0 * t ** 2  # dtheta/dt = 3 pi t^2, over pi
-    kernel = np.outer(cscale * u ** (5.0 / 6.0), -np.abs(np.sin(0.5 * theta)) ** (5.0 / 3.0))
+    kernel = np.outer(cscale * u ** (5.0 / 6.0), neg_sin)
     np.exp(kernel, out=kernel)  # in place: the largest array of the rule, ~1 MB
-    weights = np.stack((w_theta, np.cos(2 * abs(beam.l0) * theta) * w_theta))
-    inner = kernel @ np.concatenate([weights, np.abs(weights)]).T
-    values, abs_sums = np.split(radial @ inner, 2)
-    return values, abs_sums
+    # one product against the columns w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
+    # radial, kernel and w are positive, so a is also its own sum of |terms|
+    cos_w = np.cos(2 * abs(beam.l0) * theta) * w_theta
+    sums = radial @ (kernel @ np.array((w_theta, cos_w, np.abs(cos_w))).T)
+    return sums[:2], sums[::2]
 
 
 def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
     """Integrals of _rule_sum to absolute tol, with error estimates.
 
-    Doubles the rule size until two successive sizes agree to tol and returns
-    the finer values.  Each error estimate is |fine - coarse|, floored by the
-    round-off of the finer sum.  The coarse rule of a pair must resolve the
-    theta ~ 0 peak.  Raises ConvergenceFailure if the largest rule still
-    misses tol, or if the peak is too narrow for the rules at all.
+    Steps through _RULE_SIZES, about sqrt(2) apart, until two successive
+    sizes agree to tol and returns the finer values.  Each error estimate is
+    |fine - coarse|, floored by the round-off of the finer sum.  The coarse
+    rule of a pair must resolve the theta ~ 0 peak.  Raises ConvergenceFailure
+    if the largest rule still misses tol, or if the peak is too narrow for the
+    rules at all.
     """
     cscale = _c_scale(beam, turb)
     umax = _u_max(beam)

@@ -285,6 +285,16 @@ class TestFitCommand:
         assert out == ""
         assert err.startswith("error: non-finite value in sweep row 3") and err.count("\n") == 1
 
+    def test_negative_x_rejected(self, tmp_path, capsys):
+        # a negative x would be read as x = 0 by the forms and shift the fit
+        bad = tmp_path / "bad.csv"
+        lines = (DATA / "synthetic_decay.csv").read_text().splitlines()
+        lines[3] = ",".join(["-1"] + lines[3].split(",")[1:])
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["fit", "--form", "poly", "--input", str(bad)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: fit requires x >= 0, got x = -1 in row 3\n"
+
     def test_runs_its_own_sweep(self, capsys):
         code, out, err = run_cli(["fit", "--form", "poly", "--l0", "10"], capsys)
         assert (code, err) == (EXIT_OK, "")

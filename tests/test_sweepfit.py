@@ -187,6 +187,13 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_poly_form(rows[10:])
 
+    @pytest.mark.parametrize("fit", [fit_poly_form, fit_exp_form])
+    def test_negative_x_rejected(self, fit):
+        grid = np.linspace(0.0, 3.0, 61)
+        grid[5] = -0.25
+        with pytest.raises(ValueError, match=r"x >= 0, got x = -0.25 in row 6"):
+            fit(synthetic_rows(grid))
+
     def test_channel_sweep_fit_regression(self):
         # frozen minimum of the l0 = 10 coherence/lqu fits on the default grid
         beam = BeamParams(waist=1.0, l0=10)

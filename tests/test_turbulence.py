@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import channel_ab_bruteforce, channel_ab_quad, lambda_element, large_x_limit
+from oamturb import turbulence
 from oamturb.lgmath import BeamParams, phase_correlation_length
 from oamturb.turbulence import (
     _TAIL_MASS,
@@ -269,6 +270,30 @@ def test_error_bars_are_honest(l0, p0, x, tol):
     assert 0.0 < cc.err_b <= tol
     assert abs(cc.a - ora_a) <= cc.err_a + 1e-13
     assert abs(cc.b - ora_b) <= cc.err_b + 1e-13
+
+
+@pytest.mark.parametrize("l0, p0, x, tol", [(97, 2, 0.00307, 1e-12), (93, 8, 0.01435, 1e-11)])
+def test_error_bars_are_honest_at_high_l0(l0, p0, x, tol):
+    # the 128x256 and 256x512 rules differ here by more than tol; the pair
+    # (181x362, 256x512) agrees, and nested quad confirms its error bars
+    test_error_bars_are_honest(l0, p0, x, tol)
+
+
+def test_rule_cache_carries_no_state(monkeypatch):
+    # the rule-only tables change no result: cold and warm caches, and either
+    # order of two beams that need different rules, give identical bits
+    def evaluate(l0):
+        beam = BeamParams(waist=1.0, l0=l0, p0=1)
+        cc = channel_ab(beam, r0_from_x(beam, 0.7), 1e-11)
+        return cc.a, cc.b, cc.err_a, cc.err_b
+
+    cold = {}
+    for l0 in (1, 40):
+        monkeypatch.setattr(turbulence, "_GAUSS", {})
+        monkeypatch.setattr(turbulence, "_ANGULAR", {})
+        cold[l0] = evaluate(l0)
+    for order in ((1, 40), (40, 1)):
+        assert {l0: evaluate(l0) for l0 in order} == cold
 
 
 class TestLambdaElement:
