@@ -84,46 +84,46 @@ class EsdResult:
     reason: str | None = None
 
 
-def _analytic_concurrence_at(beam, w, x, tol):
-    return concurrence_analytic(w, channel_ab(beam, r0_from_x(beam, x), tol))
-
-
-def _bisect(keeps, lo, hi, width):
-    """Midpoint of [lo, hi] once halved below width; lo moves up where keeps(mid)."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if keeps(mid):
-            lo = mid
+def _bisect(at, keeps, lo, hi, width, tol):
+    """Midpoint of the bracket lo = (x, at(x)), hi = (x, at(x)) once halved below
+    width or to adjacent floats; lo moves up where keeps(at(mid)).  at(x) has a
+    and b to tol, and b/a rises strictly in x: a probe whose b/a leaves the ends'
+    range by more than their error bounds 2 tol/a raises ConvergenceFailure."""
+    (x_lo, v_lo), (x_hi, v_hi) = lo, hi
+    while x_hi - x_lo > width and x_lo < (mid := 0.5 * (x_lo + x_hi)) < x_hi:
+        v = at(mid)
+        if not ((v_lo.b - 2 * tol) / v_lo.a <= (v.b + 2 * tol) / v.a
+                and (v.b - 2 * tol) / v.a <= (v_hi.b + 2 * tol) / v_hi.a):
+            raise ConvergenceFailure(f"b/a = {v.b / v.a:.6g} at x = {mid:.12g} leaves its range "
+                                     f"on the bracket [{x_lo:.12g}, {x_hi:.12g}]: not monotone")
+        if keeps(v):
+            x_lo, v_lo = mid, v
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            x_hi, v_hi = mid, v
+    return 0.5 * (x_lo + x_hi)
 
 
 def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
-             x_max: float = 3.0, grid_points: int = 61, x_min: float = 0.0) -> EsdResult:
+             x_max: float = 3.0, x_min: float = 0.0) -> EsdResult:
     """Smallest x in (x_min, x_max] past which the concurrence is identically zero.
 
-    Scans a uniform grid for the sign change of the analytic form's inner
-    expression, verifies concurrence stays zero afterwards, then bisects the
-    bracket.  Returns reasons "zero at origin" (no entanglement to lose),
-    "zero at x_min" (already dead where the scan starts) or "no death in
-    range" when applicable.
+    The concurrence falls strictly in b/a, which rises strictly in x, so it
+    crosses zero once at most: one bisection of [x_min, x_max] to width 1e-9
+    (ConvergenceFailure if b/a falls).  Returns reasons "zero at origin" (no
+    entanglement to lose), "zero at x_min" or "no death in range".
     """
-    if not 0.0 <= x_min < x_max:
+    if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid ESD range [{x_min}, {x_max}]")
     if concurrence_analytic(w, ChannelCoefficients(1.0, 0.0)) <= 0.0:
         return EsdResult(None, "zero at origin")
-    xs = np.linspace(x_min, x_max, grid_points)
-    vals = [_analytic_concurrence_at(beam, w, float(x), tol) for x in xs]
-    first_zero = next((i for i, v in enumerate(vals) if v <= 0.0), None)
-    if first_zero is None:
-        return EsdResult(None, "no death in range")
-    if any(v > 0.0 for v in vals[first_zero:]):
-        raise ConvergenceFailure("concurrence revived after reaching zero; grid too coarse?")
-    if first_zero == 0:
+    at = lambda x: channel_ab(beam, r0_from_x(beam, x), tol)
+    alive = lambda cc: concurrence_analytic(w, cc) > 0.0
+    lo, hi = (x_min, at(x_min)), (x_max, at(x_max))
+    if not alive(lo[1]):
         return EsdResult(None, "zero at x_min")
-    return EsdResult(_bisect(lambda x: _analytic_concurrence_at(beam, w, x, tol) > 0.0,
-                             float(xs[first_zero - 1]), float(xs[first_zero]), 1e-9))
+    if alive(hi[1]):
+        return EsdResult(None, "no death in range")
+    return EsdResult(_bisect(at, alive, lo, hi, 1e-9, tol))
 
 
 def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
@@ -131,24 +131,25 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
                          refine_to: float = 1e-4) -> float | None:
     """Location where the LQU's maximal-eigenvalue branch index switches.
 
-    With beam and state context the grid midpoint is refined by bisection on
-    the branch index; otherwise the midpoint itself is returned.  None when
-    the branch is constant along the sweep.
+    rows ascend in x.  With beam and state context the grid midpoint is refined
+    by bisection on the branch index to width refine_to; otherwise the midpoint
+    itself is returned.  None when the branch is constant along the sweep.
     """
-    if len(rows) < 2:
-        return None
-    spacing = max(b.x - a.x for a, b in zip(rows, rows[1:]))
-    if spacing > SUDDEN_CHANGE_SPACING + 1e-12:
-        raise ValueError(f"grid spacing {spacing} too coarse for sudden-change detection")
+    if not 0.0 < refine_to < math.inf:
+        raise ValueError(f"refine_to must be positive and finite, got {refine_to}")
+    steps = [b.x - a.x for a, b in zip(rows, rows[1:])] or [0.0]
+    if not 0.0 <= min(steps) <= max(steps) <= SUDDEN_CHANGE_SPACING + 1e-12:
+        raise ValueError(f"rows need ascending x steps of at most {SUDDEN_CHANGE_SPACING} "
+                         f"for sudden-change detection, got [{min(steps)}, {max(steps)}]")
     change = next((i for i, (r0, r1) in enumerate(zip(rows, rows[1:]))
                    if r0.lqu_branch != r1.lqu_branch), None)
     if change is None:
         return None
-    lo, hi = rows[change].x, rows[change + 1].x
+    lo, hi = rows[change], rows[change + 1]
     if beam is None or w is None:
-        return 0.5 * (lo + hi)
-    return _bisect(lambda x: _row_at(beam, w, x, tol).lqu_branch == rows[change].lqu_branch,
-                   lo, hi, refine_to)
+        return 0.5 * (lo.x + hi.x)
+    return _bisect(lambda x: _row_at(beam, w, x, tol), lambda r: r.lqu_branch == lo.lqu_branch,
+                   (lo.x, lo), (hi.x, hi), refine_to, tol)
 
 
 # --- model forms and their Jacobians ---

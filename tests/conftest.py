@@ -7,14 +7,28 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad, simpson
 from scipy.special import eval_genlaguerre, gamma, gammainccinv, gammaincinv, gammaln
 
-from oamturb import XState
+from oamturb import XState, sweepfit
 from oamturb.lgmath import BeamParams, phase_correlation_length
-from oamturb.turbulence import TurbulenceParams
+from oamturb.turbulence import ChannelCoefficients, TurbulenceParams, x_ratio
 
 
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240611)
+
+
+@pytest.fixture()
+def ratio_dip(monkeypatch):
+    """The channel as sweepfit sees it, with b = a (b/a = 1, no concurrence left)
+    for x in [0.5, 1] only, so that b/a falls back past x = 1: a bisection of
+    [0, 3] probes x = 1.5 (dead, real b/a) and then x = 0.75 (b/a = 1)."""
+    real = sweepfit.channel_ab
+
+    def channel_ab(beam, turb, tol=1e-9):
+        cc = real(beam, turb, tol)
+        return ChannelCoefficients(cc.a, cc.a) if 0.5 <= x_ratio(beam, turb) <= 1.0 else cc
+
+    monkeypatch.setattr(sweepfit, "channel_ab", channel_ab)
 
 
 def channel_ab_bruteforce(l0: int, x: float, nr: int = 2000, nth: int = 2000,

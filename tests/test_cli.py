@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oamturb import cli, sweepfit
+from oamturb import cli
 from oamturb.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -362,15 +362,13 @@ class TestEsdCommand:
         assert out == ""
         assert err.startswith("error: x_max must be finite") and err.count("\n") == 1
 
-    def test_revival_is_numerical_failure(self, monkeypatch, capsys):
-        # concurrence zero on [0.5, 1] only: a revival the scan must not bracket
-        monkeypatch.setattr(sweepfit, "_analytic_concurrence_at",
-                            lambda beam, w, x, tol: 0.0 if 0.5 <= x <= 1.0 else 0.5)
+    def test_non_monotone_ratio_is_numerical_failure(self, ratio_dip, capsys):
+        # b/a = 1 on [0.5, 1] only: the probe at x = 0.75 leaves the bracket's b/a range
         code, out, err = run_cli(["esd", "--gamma", "1", "--theta", "0.5"], capsys)
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert len(err.strip().splitlines()) == 1
-        assert "revived" in err
+        assert "not monotone" in err
 
 
 class TestConfigFile:

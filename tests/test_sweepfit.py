@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oamturb import sweepfit
 from oamturb.lgmath import BeamParams
+from oamturb.measures import concurrence_analytic
 from oamturb.qstate import WernerParams
 from oamturb.sweepfit import (
     EXP_FORM_INITIAL,
@@ -20,7 +25,7 @@ from oamturb.sweepfit import (
     poly_form,
     sweep,
 )
-from oamturb.turbulence import channel_ab, r0_from_x
+from oamturb.turbulence import ChannelCoefficients, ConvergenceFailure, channel_ab, r0_from_x
 
 BEAM1 = BeamParams(waist=1.0, l0=1)
 BELL = WernerParams(gamma=1.0, theta=math.pi / 2)
@@ -94,7 +99,7 @@ class TestFindEsd:
         assert res.reason == "zero at origin"
 
     def test_no_death_in_short_range(self):
-        res = find_esd(BEAM1, BELL, tol=1e-8, x_max=0.2, grid_points=11)
+        res = find_esd(BEAM1, BELL, tol=1e-8, x_max=0.2)
         assert res.x_star is None
         assert res.reason == "no death in range"
 
@@ -112,6 +117,48 @@ class TestFindEsd:
     def test_rejects_bad_range(self, x_min, x_max):
         with pytest.raises(ValueError):
             find_esd(BEAM1, BELL, x_max=x_max, x_min=x_min)
+
+    @pytest.mark.parametrize("x_min, x_max", [(0.0, math.inf), (0.0, math.nan),
+                                              (math.nan, 1.0), (math.inf, math.inf)])
+    def test_rejects_non_finite_range(self, x_min, x_max):
+        with pytest.raises(ValueError, match=r"invalid ESD range \["):
+            find_esd(BEAM1, BELL, x_max=x_max, x_min=x_min)
+
+    def test_one_bisection_of_the_range(self, monkeypatch):
+        calls = []
+        real = sweepfit.channel_ab
+        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a: calls.append(a) or real(*a))
+        res = find_esd(BEAM1, BELL, tol=1e-9)
+        # both ends, then log2(3 / 1e-9) < 32 halvings
+        assert len(calls) <= 34
+        assert res.x_star == pytest.approx(0.6225486, abs=1e-4)
+
+    def test_non_monotone_ratio_raises(self, ratio_dip):
+        with pytest.raises(ConvergenceFailure, match=r"x = 0\.75 .* \[0, 1\.5\]: not monotone"):
+            find_esd(BEAM1, BELL, tol=1e-9)
+
+    @pytest.mark.parametrize("l0", [1, 10, 40])
+    def test_guard_quiet_at_coarse_tol(self, l0):
+        # the error bound 2 tol/a of b/a far exceeds its change across the
+        # last brackets; the real channel must not trip the guard there
+        beam = BeamParams(waist=1.0, l0=l0)
+        coarse = find_esd(beam, BELL, tol=1e-6)
+        assert coarse.x_star == pytest.approx(find_esd(beam, BELL, tol=1e-10).x_star, abs=1e-4)
+
+    def test_guard_allows_error_within_tol(self, monkeypatch):
+        # every other evaluation moves b by up to its remaining error budget,
+        # so b/a jitters by ~tol/a between probes, yet each b stays within tol
+        real, calls = sweepfit.channel_ab, []
+
+        def jittered(beam, turb, tol):
+            cc = real(beam, turb, tol)
+            calls.append(cc)
+            b = cc.b + (tol - cc.err_b) * (len(calls) % 2)
+            return ChannelCoefficients(cc.a, b, cc.err_a, tol)
+
+        monkeypatch.setattr(sweepfit, "channel_ab", jittered)
+        res = find_esd(BEAM1, BELL, tol=1e-6)
+        assert res.x_star == pytest.approx(0.6225486, abs=1e-4)
 
 
 class TestDetectSuddenChange:
@@ -135,6 +182,64 @@ class TestDetectSuddenChange:
         rows = synthetic_rows(np.linspace(0.0, 3.0, 11))
         with pytest.raises(ValueError):
             detect_sudden_change(rows)
+
+    def test_rejects_descending_rows(self):
+        w = WernerParams(1.0, math.pi / 3)
+        rows = sweep(BEAM1, w, np.linspace(0.0, 1.0, 21), tol=1e-9)
+        with pytest.raises(ValueError, match="ascending"):
+            detect_sudden_change(rows[::-1], BEAM1, w, tol=1e-9)
+
+    @pytest.mark.parametrize("refine_to", [0.0, -1e-4, math.inf, math.nan])
+    def test_rejects_bad_refine_to(self, refine_to):
+        with pytest.raises(ValueError, match="refine_to"):
+            detect_sudden_change(synthetic_rows(), refine_to=refine_to)
+
+    def test_refines_to_adjacent_floats(self):
+        # a width below the float spacing at the root stops at adjacent floats
+        w = WernerParams(1.0, math.pi / 3)
+        rows = sweep(BEAM1, w, np.linspace(0.0, 1.0, 21), tol=1e-9)
+        fine = detect_sudden_change(rows, BEAM1, w, tol=1e-9, refine_to=1e-10)
+        finest = detect_sudden_change(rows, BEAM1, w, tol=1e-9, refine_to=1e-300)
+        assert finest == pytest.approx(fine, abs=1e-10)
+
+    def test_non_monotone_ratio_raises(self):
+        # the row closing the bracket claims the b/a of the row opening it, so
+        # the first probe, of the real channel, lies above both
+        w = WernerParams(1.0, math.pi / 3)
+        rows = sweep(BEAM1, w, np.linspace(0.0, 1.0, 21), tol=1e-9)
+        i = next(i for i, (r0, r1) in enumerate(zip(rows, rows[1:]))
+                 if r0.lqu_branch != r1.lqu_branch)
+        rows[i + 1] = dataclasses.replace(rows[i + 1], b=rows[i + 1].a * rows[i].b / rows[i].a)
+        with pytest.raises(ConvergenceFailure, match="not monotone"):
+            detect_sudden_change(rows, BEAM1, w, tol=1e-9)
+
+
+class TestBisectionPremises:
+    """The two facts that make the ESD one crossing of a monotone function."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(l0=st.integers(1, 40), p0=st.integers(0, 2), x_lo=st.floats(0.0, 19.0),
+           u=st.floats(0.0, 1.0))
+    def test_crosstalk_ratio_rises_strictly(self, l0, p0, x_lo, u):
+        # steps of at least 0.05 (1 + x_lo) up to x = 20 keep the rise of b/a
+        # above the error bound 2 tol/a of each end, which grows as a -> 0
+        step = 0.05 * (1.0 + x_lo)
+        x_hi = x_lo + step + u * (20.0 - x_lo - step)
+        beam = BeamParams(waist=1.0, l0=l0, p0=p0)
+        tol = 1e-9
+        lo, hi = (channel_ab(beam, r0_from_x(beam, x), tol) for x in (x_lo, x_hi))
+        assert (lo.b + 2 * tol) / lo.a < (hi.b - 2 * tol) / hi.a
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi),
+           t_lo=st.floats(0.0, 1.0), gap=st.floats(1e-9, 1.0))
+    def test_concurrence_falls_strictly_in_ratio(self, gamma, theta, t_lo, gap):
+        w = WernerParams(gamma, theta)
+        t_hi = min(1.0, t_lo + gap)
+        c_lo, c_hi = (concurrence_analytic(w, ChannelCoefficients(1.0, t)) for t in (t_lo, t_hi))
+        assert c_hi <= c_lo
+        if c_lo > 0.0 and t_hi > t_lo:
+            assert c_hi < c_lo
 
 
 class TestFits:
