@@ -33,6 +33,7 @@ from .sweepfit import (
     detect_sudden_change,
     exp_form,
     find_esd,
+    find_sudden_change,
     fit_exp_form,
     fit_poly_form,
     poly_form,
@@ -57,8 +58,8 @@ __all__ = [
     "TurbulenceParams", "WernerParams", "XState",
     "apply_channel", "channel_ab", "collapse_check", "concurrence_analytic",
     "concurrence_x", "detect_sudden_change", "eigenvalues_x", "exp_form",
-    "find_esd", "fit_exp_form", "fit_poly_form", "fried_parameter", "laguerre",
-    "lqu", "measure_triple", "phase_correlation_length",
+    "find_esd", "find_sudden_change", "fit_exp_form", "fit_poly_form", "fried_parameter",
+    "laguerre", "lqu", "measure_triple", "phase_correlation_length",
     "phase_structure", "poly_form", "r0_from_x", "radial_profile",
     "rel_entropy_coherence", "sweep", "von_neumann_entropy", "werner_like",
     "x_ratio",

@@ -22,10 +22,9 @@ from .qstate import WernerParams, apply_channel, werner_like
 from .sweepfit import (
     EXP_FORM_INITIAL,
     POLY_FORM_INITIAL,
-    SUDDEN_CHANGE_SPACING,
     SweepRow,
-    detect_sudden_change,
     find_esd,
+    find_sudden_change,
     fit_exp_form,
     fit_poly_form,
     sweep,
@@ -284,15 +283,12 @@ def cmd_fit(cfg: RunConfig, stdout):
 
 def cmd_esd(cfg: RunConfig, stdout):
     res = find_esd(cfg.beam, cfg.werner, cfg.tol, x_max=cfg.x_max, x_min=cfg.x_min)
+    change = find_sudden_change(cfg.beam, cfg.werner, cfg.tol, x_max=cfg.x_max, x_min=cfg.x_min)
     if res.x_star is None:
         print("esd_x=none", file=stdout)
         print(f"reason={res.reason}", file=stdout)
     else:
         print(f"esd_x={fmt(res.x_star)}", file=stdout)
-    # sudden-change detection needs a grid no coarser than SUDDEN_CHANGE_SPACING
-    n_sc = max(cfg.x_points, int(math.ceil((cfg.x_max - cfg.x_min) / SUDDEN_CHANGE_SPACING)) + 1)
-    rows = sweep(cfg.beam, cfg.werner, np.linspace(cfg.x_min, cfg.x_max, n_sc), cfg.tol)
-    change = detect_sudden_change(rows, cfg.beam, cfg.werner, cfg.tol)
     print(f"sudden_change_x={fmt(change) if change is not None else 'none'}", file=stdout)
 
 

@@ -126,6 +126,19 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     return EsdResult(_bisect(at, alive, lo, hi, 1e-9, tol))
 
 
+def find_sudden_change(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
+                       x_max: float = 3.0, x_min: float = 0.0) -> float | None:
+    """x in (x_min, x_max) where the LQU branch switches, or None if both ends
+    share one.  The branch switches once at most in b/a, which rises strictly in
+    x: one bisection to width 1e-9, as in find_esd (ConvergenceFailure if b/a falls)."""
+    if not 0.0 <= x_min < x_max < math.inf:
+        raise ValueError(f"invalid sudden-change range [{x_min}, {x_max}]")
+    at = lambda x: _row_at(beam, w, x, tol)
+    lo, hi = (x_min, at(x_min)), (x_max, at(x_max))
+    before = lambda r: r.lqu_branch == lo[1].lqu_branch
+    return None if before(hi[1]) else _bisect(at, before, lo, hi, 1e-9, tol)
+
+
 def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
                          w: WernerParams | None = None, tol: float = 1e-9,
                          refine_to: float = 1e-4) -> float | None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oamturb import cli
+from oamturb import cli, sweepfit
 from oamturb.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -369,6 +369,31 @@ class TestEsdCommand:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "not monotone" in err
+
+    def test_sudden_change_is_the_root_whatever_the_range(self, monkeypatch, capsys):
+        # the x grid plays no part: a wider range only adds halvings,
+        # log2(1000 / 3) < 9 of them per root
+        real_channel, real_change = sweepfit.channel_ab, cli.find_sudden_change
+        calls, change_calls = [], {}
+
+        def counted_change(*args, **kwargs):
+            start = len(calls)
+            x = real_change(*args, **kwargs)
+            change_calls[kwargs["x_max"]] = len(calls) - start
+            return x
+
+        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a: calls.append(a) or real_channel(*a))
+        monkeypatch.setattr(cli, "find_sudden_change", counted_change)
+        total = {}
+        for x_max in ("3", "100", "1000"):
+            start = len(calls)
+            code, out, _ = run_cli(["esd", "--gamma", "1", "--theta", "0.3333333333333333",
+                                    "--x-max", x_max], capsys)
+            total[float(x_max)] = len(calls) - start
+            assert code == EXIT_OK
+            assert float(parse_report(out)["sudden_change_x"]) == pytest.approx(0.134837, abs=1e-6)
+        assert change_calls[1000.0] <= change_calls[3.0] + 10
+        assert total[1000.0] <= total[3.0] + 20
 
 
 class TestConfigFile:

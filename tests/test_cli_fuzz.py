@@ -52,7 +52,7 @@ def render(config, fixture):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(command=st.sampled_from(["channel", "measures", "fit"]),
+@given(command=st.sampled_from(["channel", "measures", "fit", "esd"]),
        flags=st.lists(setting(), max_size=6), config=CONFIG)
 @example(command="channel", flags=[("r0", "1e300")], config=None)
 @example(command="channel", flags=[("x", "1e-200")], config=None)

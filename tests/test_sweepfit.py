@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from oamturb import sweepfit
 from oamturb.lgmath import BeamParams
-from oamturb.measures import concurrence_analytic
-from oamturb.qstate import WernerParams
+from oamturb.measures import concurrence_analytic, lqu
+from oamturb.qstate import WernerParams, apply_channel, werner_like
 from oamturb.sweepfit import (
     EXP_FORM_INITIAL,
     POLY_FORM_INITIAL,
@@ -19,6 +19,7 @@ from oamturb.sweepfit import (
     detect_sudden_change,
     exp_form,
     find_esd,
+    find_sudden_change,
     fit_exp_form,
     fit_poly_form,
     lm_least_squares,
@@ -161,6 +162,51 @@ class TestFindEsd:
         assert res.x_star == pytest.approx(0.6225486, abs=1e-4)
 
 
+class TestFindSuddenChange:
+    THIRD = WernerParams(1.0, math.pi / 3)
+
+    def test_bell_has_no_change(self):
+        assert find_sudden_change(BEAM1, BELL, tol=1e-8) is None
+
+    def test_range_past_the_change_has_none(self):
+        assert find_sudden_change(BEAM1, self.THIRD, tol=1e-8, x_min=0.2) is None
+
+    @pytest.mark.parametrize("x_min, x_max", [(-0.1, 1.0), (1.0, 1.0), (2.0, 1.0),
+                                              (0.0, math.inf), (0.0, math.nan),
+                                              (math.nan, 1.0), (math.inf, math.inf)])
+    def test_rejects_bad_range(self, x_min, x_max):
+        with pytest.raises(ValueError, match=r"invalid sudden-change range \["):
+            find_sudden_change(BEAM1, self.THIRD, x_max=x_max, x_min=x_min)
+
+    def test_non_monotone_ratio_raises(self, ratio_dip):
+        with pytest.raises(ConvergenceFailure, match=r"x = 0\.75 .* \[0, 1\.5\]: not monotone"):
+            find_sudden_change(BEAM1, self.THIRD, tol=1e-9)
+
+    @pytest.mark.parametrize("x_max", [3.0, 1000.0])
+    def test_one_bisection_of_the_range(self, monkeypatch, x_max):
+        calls = []
+        real = sweepfit.channel_ab
+        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a: calls.append(a) or real(*a))
+        x = find_sudden_change(BEAM1, self.THIRD, tol=1e-9, x_max=x_max)
+        assert len(calls) <= 2 + math.ceil(math.log2(x_max / 1e-9))
+        assert x == pytest.approx(0.134837, abs=1e-6)
+
+    def test_ratio_at_the_change_is_independent_of_l0(self):
+        # the branch is a function of t = b/a alone, so every l0 switches at the
+        # same t; the root also agrees with the grid-bracketed bisection
+        ratios = []
+        for l0 in (1, 10, 40):
+            beam = BeamParams(waist=1.0, l0=l0)
+            x = find_sudden_change(beam, self.THIRD, tol=1e-10)
+            cc = channel_ab(beam, r0_from_x(beam, x), 1e-11)
+            ratios.append(cc.b / cc.a)
+            rows = sweep(beam, self.THIRD, np.linspace(0.0, 1.0, 21), tol=1e-10)
+            grid = detect_sudden_change(rows, beam, self.THIRD, tol=1e-10, refine_to=1e-10)
+            assert x == pytest.approx(grid, abs=1e-8)
+        assert max(ratios) - min(ratios) <= 1e-8
+        assert ratios[0] == pytest.approx(0.0270755, abs=1e-7)
+
+
 class TestDetectSuddenChange:
     def test_theta_pi_third_change_point(self):
         w = WernerParams(1.0, math.pi / 3)
@@ -215,7 +261,8 @@ class TestDetectSuddenChange:
 
 
 class TestBisectionPremises:
-    """The two facts that make the ESD one crossing of a monotone function."""
+    """The facts that make the ESD and the LQU sudden change one crossing of a
+    monotone function each."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(l0=st.integers(1, 40), p0=st.integers(0, 2), x_lo=st.floats(0.0, 19.0),
@@ -241,6 +288,15 @@ class TestBisectionPremises:
         if c_lo > 0.0 and t_hi > t_lo:
             assert c_hi < c_lo
 
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    def test_lqu_branch_switches_once_at_most_in_ratio(self, gamma, theta, phi):
+        state = werner_like(WernerParams(gamma, theta, phi))
+        branches = [lqu(apply_channel(state, ChannelCoefficients(1.0, t)))[1]
+                    for t in np.linspace(0.0, 1.0, 401)]
+        assert sum(b0 != b1 for b0, b1 in zip(branches, branches[1:])) <= 1
 
 class TestFits:
     def test_poly_self_fit_exact(self):
