@@ -176,7 +176,8 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     x_min = v.get("x_min", 0.0)
     x_max = v.get("x_max", 3.0)
     x_points = v.get("x_points", 61)
-    if x_min < 0 or x_max <= x_min or x_points < 2:
+    # esd bisects [x_min, x_max] and builds no grid, so only sweep and fit need points
+    if x_min < 0 or x_max <= x_min or (x_points < 2 and command in ("sweep", "fit")):
         raise ConfigError(f"invalid x grid: [{x_min}, {x_max}] with {x_points} points")
 
     form = v.get("form")

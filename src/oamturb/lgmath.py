@@ -69,22 +69,6 @@ def radial_amplitude(u, beam: BeamParams):
         return np.exp(lg + 0.5 * labs * np.log(u) - 0.5 * u) * laguerre(p0, labs, u)
 
 
-def radial_profile(r, beam: BeamParams):
-    """Radial amplitude R_{p0,l0}(r) of the LG mode, elementwise on arrays,
-    normalized so that the intensity integral  int_0^inf R^2 r dr = 1.
-
-        R(r) = (2/w0) sqrt(p0!/(p0+|l0|)!) (r sqrt2/w0)^|l0|
-               L_{p0}^{|l0|}(2 r^2/w0^2) exp(-r^2/w0^2)
-
-    The Laguerre argument is the dimensionless 2r^2/w0^2 (for p0 = 0 the
-    polynomial is constant and the argument is immaterial).
-    """
-    if np.any(r < 0):
-        raise ValueError(f"radius must be non-negative, got {r}")
-    w0 = beam.waist
-    return (2.0 / w0) * radial_amplitude(2.0 * r * r / (w0 * w0), beam)
-
-
 def phase_correlation_length(beam: BeamParams) -> float:
     """Phase correlation length xi(l0): the transverse distance over which the
     helical phase advances by pi/2, averaged over the mode cross-section.

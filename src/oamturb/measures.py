@@ -8,8 +8,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .qstate import WernerParams, XState, eigenvalues_x
-from .turbulence import ChannelCoefficients
+from .qstate import ChannelCoefficients, WernerParams, XState, eigenvalues_x
 
 _TIE_BAND = 1e-12
 

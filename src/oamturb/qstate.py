@@ -6,10 +6,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .turbulence import ChannelCoefficients
-
 _TRACE_TOL = 1e-12
 _POS_TOL = 1e-12
 
@@ -60,9 +56,23 @@ class XState:
         if not abs(self.c23) ** 2 <= self.d22 * self.d33 + _POS_TOL:
             raise ValueError("inner block of X state not positive: |c23|^2 > d22*d33")
 
-    @property
-    def populations(self) -> np.ndarray:
-        return np.array([self.d11, self.d22, self.d33, self.d44])
+
+@dataclass(frozen=True)
+class ChannelCoefficients:
+    """Survival amplitude a and crosstalk amplitude b with quadrature error bounds."""
+
+    a: float
+    b: float
+    err_a: float = 0.0
+    err_b: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.a <= 1.0 + 1e-10:
+            raise ValueError(f"survival coefficient out of range: a = {self.a}")
+        if self.b < 0.0:
+            raise ValueError(f"crosstalk coefficient negative: b = {self.b}")
+        if abs(self.b) > self.a + 1e-10:
+            raise ValueError(f"crosstalk exceeds survival: a = {self.a}, b = {self.b}")
 
 
 def werner_like(w: WernerParams) -> XState:

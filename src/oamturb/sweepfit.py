@@ -12,8 +12,8 @@ import numpy as np
 
 from .lgmath import BeamParams
 from .measures import concurrence_analytic, measure_triple
-from .qstate import WernerParams, apply_channel, werner_like
-from .turbulence import ChannelCoefficients, ConvergenceFailure, channel_ab, r0_from_x
+from .qstate import ChannelCoefficients, WernerParams, apply_channel, werner_like
+from .turbulence import ConvergenceFailure, channel_ab, r0_from_x
 
 # Default initial guesses: the published fitted constants of each form.
 POLY_FORM_INITIAL = (0.183, 3.78, 0.21, 0.131)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lgmath import BeamParams, phase_correlation_length, radial_amplitude
+from .qstate import ChannelCoefficients
 
 # Kolmogorov phase structure function constant: D = 6.88 (d/r0)^(5/3)
 STRUCTURE_CONSTANT = 6.88
@@ -76,24 +77,6 @@ class TurbulenceParams:
         """Construct from structure constant Cn2 [m^-2/3], wavenumber k [1/m]
         and path length L [m]."""
         return cls(fried_parameter(Cn2, k, L))
-
-
-@dataclass(frozen=True)
-class ChannelCoefficients:
-    """Survival amplitude a and crosstalk amplitude b with quadrature error bounds."""
-
-    a: float
-    b: float
-    err_a: float = 0.0
-    err_b: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.a <= 1.0 + 1e-10:
-            raise ValueError(f"survival coefficient out of range: a = {self.a}")
-        if self.b < 0.0:
-            raise ValueError(f"crosstalk coefficient negative: b = {self.b}")
-        if abs(self.b) > self.a + 1e-10:
-            raise ValueError(f"crosstalk exceeds survival: a = {self.a}, b = {self.b}")
 
 
 def phase_structure(separation: float, turb: TurbulenceParams) -> float:

@@ -8,7 +8,7 @@ from scipy.integrate import IntegrationWarning, quad, simpson
 from scipy.special import eval_genlaguerre, gamma, gammainccinv, gammaincinv, gammaln
 
 from oamturb import XState, sweepfit
-from oamturb.lgmath import BeamParams, phase_correlation_length
+from oamturb.lgmath import BeamParams, phase_correlation_length, radial_amplitude
 from oamturb.turbulence import ChannelCoefficients, TurbulenceParams, x_ratio
 
 
@@ -172,6 +172,27 @@ def large_x_limit(l0: int, p0: int = 0) -> float:
     moment = quad(lambda r: density(r) / r, 0.0, r_max, points=breaks,
                   epsabs=1e-14, epsrel=0.0, limit=200)[0]
     return gamma(1.6) * HALF_STRUCTURE ** -0.6 * xi / math.pi * moment
+
+
+def radial_profile(r, beam: BeamParams):
+    """Radial amplitude R_{p0,l0}(r) of the LG mode, elementwise on arrays,
+    normalized so that the intensity integral  int_0^inf R^2 r dr = 1.
+
+        R(r) = (2/w0) sqrt(p0!/(p0+|l0|)!) (r sqrt2/w0)^|l0|
+               L_{p0}^{|l0|}(2 r^2/w0^2) exp(-r^2/w0^2)
+
+    The channel rule weights u = 2 r^2/w0^2 by the square of the same
+    ``radial_amplitude``; this scales it back to the physical radius.
+    """
+    if np.any(r < 0):
+        raise ValueError(f"radius must be non-negative, got {r}")
+    w0 = beam.waist
+    return (2.0 / w0) * radial_amplitude(2.0 * r * r / (w0 * w0), beam)
+
+
+def populations(s: XState) -> np.ndarray:
+    """The diagonal d11..d44 of an X state as an array."""
+    return np.array([s.d11, s.d22, s.d33, s.d44])
 
 
 def random_x_state(rng: np.random.Generator) -> XState:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import concurrence_wootters_oracle, random_x_state, to_dense
+from conftest import concurrence_wootters_oracle, populations, random_x_state, to_dense
 from oamturb.cli import main as cli_main
 from oamturb.lgmath import BeamParams
 from oamturb.measures import block_sqrt, concurrence_analytic, lqu, measure_triple
@@ -220,7 +220,7 @@ def test_criterion_09_numerical_hygiene(bell_sweeps):
         s = random_x_state(rng)
         a = float(rng.uniform(1e-3, 1.0))
         out = apply_channel(s, ChannelCoefficients(a, float(rng.uniform(0.0, a))))
-        worst_trace = max(worst_trace, abs(float(out.populations.sum()) - 1.0))
+        worst_trace = max(worst_trace, abs(float(populations(out).sum()) - 1.0))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(to_dense(out)).min()))
     # monotone survival coefficient
     monotone = True

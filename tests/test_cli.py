@@ -356,6 +356,12 @@ class TestEsdCommand:
         assert rep["esd_x"] == "none"
         assert rep["reason"] == "zero at x_min"
 
+    def test_x_points_is_ignored(self, capsys):
+        # esd bisects the range and builds no grid, so any grid size is accepted
+        code, out, _ = run_cli(["esd", "--x-points", "1"], capsys)
+        assert code == EXIT_OK
+        assert (code, out) == run_cli(["esd"], capsys)[:2]
+
     def test_non_finite_grid_rejected(self, capsys):
         code, out, err = run_cli(["esd", "--x-max", "nan"], capsys)
         assert code == EXIT_CONFIG
@@ -589,6 +595,59 @@ def test_runtime_does_not_import_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def _fresh_python(code):
+    """stdout of code run in a new interpreter that imports oamturb from src/."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout
+
+
+def test_state_path_does_not_import_numpy():
+    # the states workload's first call; numpy loads with the first channel name
+    code = ("import sys, oamturb as o\n"
+            "w = o.WernerParams(0.8, 1.0, 0.5); cc = o.ChannelCoefficients(0.6, 0.2)\n"
+            "o.measure_triple(o.apply_channel(o.werner_like(w), cc)); o.concurrence_analytic(w, cc)\n"
+            "print('numpy' in sys.modules)\n"
+            "o.channel_ab\n"
+            "print('numpy' in sys.modules)")
+    assert _fresh_python(code).split() == ["False", "True"]
+
+
+def test_every_public_name_resolves():
+    code = ("import oamturb\n"
+            "from oamturb import *\n"
+            "print(all(globals()[n] is getattr(oamturb, n) for n in oamturb.__all__))\n"
+            "print(oamturb.sweepfit.POLY_FORM_INITIAL == (0.183, 3.78, 0.21, 0.131))\n"
+            "print(oamturb.ChannelCoefficients is oamturb.turbulence.ChannelCoefficients)")
+    assert _fresh_python(code).split() == ["True"] * 3
+    code = "import oamturb\nprint(set(oamturb.__all__) <= set(dir(oamturb)))"
+    assert _fresh_python(code).split() == ["True"]
+
+
+def test_unknown_name_is_attribute_error():
+    # getattr with a default, as benchmark tracers probe names, needs AttributeError
+    import oamturb
+    assert getattr(oamturb, "radial_profile", None) is None
+    with pytest.raises(AttributeError, match="no attribute 'radial_profile'"):
+        oamturb.radial_profile  # noqa: B018
+
+
+def test_rebinding_a_lazy_name_round_trips(monkeypatch):
+    # benchmark tracers and tests rebind package names with setattr
+    import oamturb
+    from oamturb import turbulence
+
+    def fake(*args):
+        raise AssertionError("unreachable")
+
+    with monkeypatch.context() as m:
+        m.delitem(vars(oamturb), "channel_ab", raising=False)  # unresolved, as in a new process
+        m.setattr(oamturb, "channel_ab", fake)
+        assert oamturb.channel_ab is fake
+    assert oamturb.channel_ab is turbulence.channel_ab
 
 
 def test_laguerre_overflow_is_clean_numerical_failure():

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gamma
 
-from oamturb.lgmath import BeamParams, laguerre, phase_correlation_length, radial_profile
+from conftest import radial_profile
+from oamturb.lgmath import BeamParams, laguerre, phase_correlation_length
 
 
 class TestLaguerre:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SIGMA_X,
@@ -24,7 +26,14 @@ from oamturb.measures import (
     rel_entropy_coherence,
     von_neumann_entropy,
 )
-from oamturb.qstate import WernerParams, XState, apply_channel, werner_like
+from oamturb.qstate import (
+    DegenerateChannel,
+    WernerParams,
+    XState,
+    apply_channel,
+    eigenvalues_x,
+    werner_like,
+)
 from oamturb.turbulence import ChannelCoefficients
 
 BELL = WernerParams(gamma=1.0, theta=math.pi / 2)
@@ -313,3 +322,27 @@ class TestMeasureTriple:
             assert 0.0 <= t.concurrence <= 1.0
             assert 0.0 <= t.coherence_rel_ent <= 2.0
             assert 0.0 <= t.lqu <= 1.0
+
+
+class TestStatePathProperties:
+    """Every channel output of a Werner-like state is a unit-trace PSD state
+    whose three measures lie in [0, 1], over the whole input domain."""
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(a=st.floats(0.0, 1.0, exclude_min=True), ratio=st.floats(0.0, 1.0),
+           gamma=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    def test_channel_output_is_a_state(self, a, ratio, gamma, theta, phi):
+        w = WernerParams(gamma, theta, phi)
+        cc = ChannelCoefficients(a, ratio * a)
+        if (cc.a + cc.b) ** 2 <= 1e-14:  # no state left to normalize: rejected, not returned
+            with pytest.raises(DegenerateChannel):
+                apply_channel(werner_like(w), cc)
+            return
+        out = apply_channel(werner_like(w), cc)
+        assert abs(out.d11 + out.d22 + out.d33 + out.d44 - 1.0) <= 1e-12
+        assert min(eigenvalues_x(out)) >= -1e-12
+        assert np.linalg.eigvalsh(to_dense(out)).min() >= -1e-12  # unclamped spectrum
+        t = measure_triple(out)
+        assert all(0.0 <= m <= 1.0 for m in (t.concurrence, t.coherence_rel_ent, t.lqu))
+        assert abs(concurrence_analytic(w, cc) - concurrence_x(out)) <= 1e-12
