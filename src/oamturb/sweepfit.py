@@ -165,61 +165,91 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
                    (lo.x, lo), (hi.x, hi), refine_to, tol)
 
 
-# --- model forms and their Jacobians ---
+# --- model forms: values and a Jacobian from one masked power per trial ---
 
-def _power(x, k):
-    """x^k, 0 where x <= 0, and the base it raised: x where x > 0, else 1,
-    so that log(base) is finite, and 0 where the power is 0."""
-    x = np.asarray(x, dtype=float)
-    base = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, np.power(base, k), 0.0), base
+class _Abscissa:
+    """The x-only factors of the masked power x^k, computed once per fit: the
+    mask x > 0, the base it raises (x there, else 1, so that log(base) is
+    finite) and log(base), which is 0 where the power is 0."""
+
+    __slots__ = ("positive", "base", "log")
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        self.positive = x > 0.0
+        self.base = np.where(self.positive, x, 1.0)
+        self.log = np.log(self.base)
+
+    def power(self, k):
+        """x^k, 0 where x <= 0."""
+        return np.where(self.positive, np.power(self.base, k), 0.0)
+
+
+def _poly_eval(ax, params):
+    """f at the abscissa ax, and a function building its Jacobian there from
+    the same x^p and denominators."""
+    A, p, B, C = params
+    xp = ax.power(p)
+    denom = xp + B
+
+    def jac():
+        denom2 = denom ** 2
+        J = np.empty((xp.size, 4))
+        J[:, 0] = 1.0 / denom
+        J[:, 1] = -A * xp * ax.log / denom2
+        J[:, 2] = -A / denom2
+        J[:, 3] = 1.0
+        return J
+    return A / denom + C, jac
+
+
+def _exp_eval(ax, params):
+    """g at the abscissa ax, and a function building its Jacobian there from
+    the same x^beta and exp(-alpha x^beta)."""
+    G, alpha, beta, c = params
+    xb = ax.power(beta)
+    e = np.exp(-alpha * xb)
+    d_G = e + c
+
+    def jac():
+        J = np.empty((xb.size, 4))
+        J[:, 0] = d_G
+        J[:, 1] = -G * xb * e
+        J[:, 2] = -G * alpha * xb * ax.log * e
+        J[:, 3] = G
+        return J
+    return G * d_G, jac
 
 
 def poly_form(x, params):
     """f(x) = A/(x^p + B) + C with f(0) = A/B + C."""
-    A, p, B, C = params
-    return A / (_power(x, p)[0] + B) + C
-
-
-def _poly_jac(x, params):
-    A, p, B, C = params
-    xp, base = _power(x, p)
-    denom = xp + B
-    d_A = 1.0 / denom
-    d_p = -A * xp * np.log(base) / denom ** 2
-    d_B = -A / denom ** 2
-    d_C = np.ones_like(xp)
-    return np.stack([d_A, d_p, d_B, d_C], axis=1)
+    return _poly_eval(_Abscissa(x), params)[0]
 
 
 def exp_form(x, params):
     """g(x) = G [exp(-alpha x^beta) + c] with g(0) = G (1 + c)."""
-    G, alpha, beta, c = params
-    return G * (np.exp(-alpha * _power(x, beta)[0]) + c)
-
-
-def _exp_jac(x, params):
-    G, alpha, beta, c = params
-    xb, base = _power(x, beta)
-    e = np.exp(-alpha * xb)
-    d_G = e + c
-    d_alpha = -G * xb * e
-    d_beta = -G * alpha * xb * np.log(base) * e
-    d_c = np.full_like(xb, G)
-    return np.stack([d_G, d_alpha, d_beta, d_c], axis=1)
+    return _exp_eval(_Abscissa(x), params)[0]
 
 
 @np.errstate(all="ignore")  # a trial whose rss overflows is rejected, not warned about
-def lm_least_squares(model, jac, x, y, p0, max_iter=500):
+def lm_least_squares(form, x, y, p0, max_iter=500):
     """Damped Gauss-Newton (Levenberg-Marquardt) with analytic Jacobian.
+
+    form(ax, params) is _poly_eval or _exp_eval: the model at the abscissa
+    ax = _Abscissa(x), built once per fit, and a function building its
+    Jacobian from the same powers.  The Jacobian, gradient, JtJ and damping
+    floor are built once per point: at p0 and after each accepted step; a
+    rejected step re-damps and re-solves the same system.
 
     Returns (params, rss, converged, iterations, rss_history); the history
     records the rss after each accepted step and is non-increasing by
     construction (steps that raise the rss are rejected and re-damped).
     Raises ValueError if the rss at p0 is not finite.
     """
+    ax = _Abscissa(x)
     p = np.asarray(p0, dtype=float).copy()
-    resid = model(x, p) - y
+    f, jac = form(ax, p)
+    resid = f - y
     rss = float(resid @ resid)
     if not math.isfinite(rss):
         raise ValueError(f"the initial fit parameters give a non-finite rss ({rss})")
@@ -227,26 +257,29 @@ def lm_least_squares(model, jac, x, y, p0, max_iter=500):
     lam = 1e-3
     converged = False
     iterations = 0
+    grad = None  # the system at p is built on the first iteration there
     while iterations < max_iter:
         iterations += 1
-        J = jac(x, p)
-        grad = J.T @ resid
-        if np.max(np.abs(grad)) < _GRAD_TOL:
-            converged = True
-            break
-        JtJ = J.T @ J
-        damped = JtJ + lam * np.diag(np.clip(np.diag(JtJ), 1e-30, None))
+        if grad is None:
+            J = jac()
+            grad = J.T @ resid
+            if abs(grad).max() < _GRAD_TOL:
+                converged = True
+                break
+            JtJ = J.T @ J
+            floor = np.maximum(JtJ.diagonal(), 1e-30)
         try:
-            step = np.linalg.solve(damped, -grad)
+            step = np.linalg.solve(JtJ + np.diag(lam * floor), -grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
         trial = p + step
-        trial_resid = model(x, trial) - y
+        f, trial_jac = form(ax, trial)
+        trial_resid = f - y
         trial_rss = float(trial_resid @ trial_resid)
-        if np.isfinite(trial_rss) and trial_rss <= rss:
-            accepted_step = np.max(np.abs(step))
-            p, resid, rss = trial, trial_resid, trial_rss
+        if math.isfinite(trial_rss) and trial_rss <= rss:
+            accepted_step = abs(step).max()
+            p, resid, rss, jac, grad = trial, trial_resid, trial_rss, trial_jac, None
             history.append(rss)
             lam = max(lam / 3.0, 1e-14)
             if accepted_step < _STEP_TOL:
@@ -259,20 +292,24 @@ def lm_least_squares(model, jac, x, y, p0, max_iter=500):
     return p, rss, converged, iterations, history
 
 
-def _fit(form_name, model, jac, rows, column, initial, max_iter):
+def _fit(form_name, form, rows, column, initial, max_iter):
     xs = np.array([r.x for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
     if len(rows) < 8:
         raise ValueError(f"need at least 8 rows to fit, got {len(rows)}")
+    for name, v in (("x", xs), ("y", ys)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            n = bad[0]
+            raise ValueError(f"fit requires finite {name}, got {name} = {v[n]:g} in row {n + 1}")
     negative = np.flatnonzero(xs < 0.0)
     if negative.size:
-        # the forms are defined for x >= 0 only; _power would read x < 0 as 0
+        # the forms are defined for x >= 0 only; the masked power would read x < 0 as 0
         n = negative[0]
         raise ValueError(f"fit requires x >= 0, got x = {xs[n]:g} in row {n + 1}")
     if xs.min() > 1e-12:
         raise ValueError("fit requires an x = 0 row (anchors the form at the origin)")
-    p, rss, converged, iterations, _ = lm_least_squares(
-        model, jac, xs, ys, initial, max_iter=max_iter)
+    p, rss, converged, iterations, _ = lm_least_squares(form, xs, ys, initial, max_iter=max_iter)
     return FitResult(form=form_name, params=p, rss=rss,
                      converged=converged, iterations=iterations)
 
@@ -280,13 +317,13 @@ def _fit(form_name, model, jac, rows, column, initial, max_iter):
 def fit_poly_form(rows: list[SweepRow], initial=POLY_FORM_INITIAL,
                   max_iter: int = 500) -> FitResult:
     """Fit f(x) = A/(x^p + B) + C to the coherence column."""
-    return _fit("poly_form", poly_form, _poly_jac, rows, "coherence", initial, max_iter)
+    return _fit("poly_form", _poly_eval, rows, "coherence", initial, max_iter)
 
 
 def fit_exp_form(rows: list[SweepRow], initial=EXP_FORM_INITIAL,
                  max_iter: int = 500) -> FitResult:
     """Fit g(x) = G [exp(-alpha x^beta) + c] to the lqu column."""
-    return _fit("exp_form", exp_form, _exp_jac, rows, "lqu", initial, max_iter)
+    return _fit("exp_form", _exp_eval, rows, "lqu", initial, max_iter)
 
 
 def collapse_check(curves: list[list[SweepRow]], measure: str = "coherence") -> float:

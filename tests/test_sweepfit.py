@@ -331,9 +331,8 @@ class TestFits:
         rows = synthetic_rows()
         xs = np.array([r.x for r in rows])
         ys = np.array([r.coherence for r in rows])
-        from oamturb.sweepfit import _poly_jac
         _, _, _, _, history = lm_least_squares(
-            poly_form, _poly_jac, xs, ys, (0.4, 2.5, 0.5, 0.2))
+            sweepfit._poly_eval, xs, ys, (0.4, 2.5, 0.5, 0.2))
         assert all(h1 >= h2 for h1, h2 in zip(history, history[1:]))
 
     def test_non_finite_initial_rss_rejected(self):
@@ -369,6 +368,133 @@ class TestFits:
         # fitted origin values stay near the exact lqu(0) = coherence(0) = 1
         assert abs(g.params[0] * (1.0 + g.params[3]) - 1.0) < 0.05
         assert abs(f.params[0] / f.params[2] + f.params[3] - 1.0) < 0.05
+
+
+def noisy_literature_rows(n=4):
+    """n curves of 61 rows on [0, 3], each carrying a poly (coherence) and an
+    exp (lqu) curve from the literature constants perturbed by up to 15%,
+    with noise of sigma 2e-3, from a fixed generator."""
+    rng = np.random.default_rng(20240613)
+    xs = np.linspace(0.0, 3.0, 61)
+    curves = []
+    for _ in range(n):
+        f = poly_form(xs, np.array(POLY_FORM_INITIAL) * rng.uniform(0.85, 1.15, 4))
+        g = exp_form(xs, np.array(EXP_FORM_INITIAL) * rng.uniform(0.85, 1.15, 4))
+        f, g = f + rng.normal(0.0, 2e-3, xs.size), g + rng.normal(0.0, 2e-3, xs.size)
+        curves.append([SweepRow(x=float(x), a=1.0, b=0.0, concurrence=0.0, coherence=float(fx),
+                                lqu=float(gx), lqu_branch=1) for x, fx, gx in zip(xs, f, g)])
+    return curves
+
+
+FITTERS = {"poly": fit_poly_form, "exp": fit_exp_form}
+SYNTHETIC_STARTS = {"poly": [(0.25, 3.0, 0.3, 0.1), (0.5, 2.0, 0.5, 0.3)],
+                    "exp": [(1.2, 2.9, 2.2, 0.12), (0.5, 2.0, 1.0, 0.3)]}
+
+# (params, rss, converged, iterations) of each fit, frozen from an
+# lm_least_squares that rebuilt the Jacobian on every iteration: building it
+# only at new points must change no float operation, so every fit matches
+FROZEN_FITS = {
+    ('poly', 'synthetic', 0): (
+        [0.18299999999999308, 3.7800000000000615, 0.20999999999999266, 0.1310000000000019],
+        1.390798753759576e-28, True, 6),
+    ('poly', 'synthetic', 1): (
+        [0.18300000000001418, 3.7799999999998715, 0.210000000000015, 0.13099999999999612],
+        5.848309684005391e-28, True, 11),
+    ('poly', 'noisy', 0): (
+        [0.16194139161164472, 3.321041074374586, 0.23364926570596667, 0.11360201523892888],
+        0.00032528870532914846, True, 9),
+    ('poly', 'noisy', 1): (
+        [0.1788626439300627, 3.9472957428873103, 0.1953884380591296, 0.15006853992197391],
+        0.0002665049127122878, True, 7),
+    ('poly', 'noisy', 2): (
+        [0.1978133000489346, 4.069215871549838, 0.21648741670465146, 0.14572779846510273],
+        0.00019238811621790714, True, 7),
+    ('poly', 'noisy', 3): (
+        [0.19000030059592946, 4.044633886444458, 0.23675531060205365, 0.12096100990220551],
+        0.00019391292080734113, True, 16),
+    ('exp', 'synthetic', 0): (
+        [0.92000000000105, 3.4999999999822773, 1.8999999999915622, 0.07999999999973287],
+        6.0230424151489665e-24, True, 6),
+    ('exp', 'synthetic', 1): (
+        [0.9200000000000005, 3.499999999999992, 1.8999999999999961, 0.07999999999999988],
+        1.1260912384832168e-30, True, 7),
+    ('exp', 'noisy', 0): (
+        [0.9524396908257354, 3.76990674867027, 1.967304429128218, 0.07638915788055985],
+        0.0001830223429024021, True, 6),
+    ('exp', 'noisy', 1): (
+        [0.869388092599621, 3.11083332824316, 2.0547349538638184, 0.07974194700564387],
+        0.00019123386972411588, True, 6),
+    ('exp', 'noisy', 2): (
+        [0.8637281759489523, 3.8032542130731035, 2.0304405658794127, 0.07436521981281241],
+        0.00022399995977394617, True, 6),
+    ('exp', 'noisy', 3): (
+        [0.9881241280656475, 3.970666135868376, 1.8961210813583718, 0.08340493281152916],
+        0.00017205895275511742, True, 9),
+}
+
+
+def _frozen_case(case):
+    form, source, k = case
+    if source == "synthetic":
+        return FITTERS[form](synthetic_rows(), initial=SYNTHETIC_STARTS[form][k])
+    return FITTERS[form](noisy_literature_rows()[k])
+
+
+class TestFitBookkeeping:
+    @pytest.mark.parametrize("case", list(FROZEN_FITS), ids=["-".join(map(str, c)) for c in FROZEN_FITS])
+    def test_fit_matches_frozen(self, case):
+        params, rss, converged, iterations = FROZEN_FITS[case]
+        res = _frozen_case(case)
+        assert (res.converged, res.iterations) == (converged, iterations)
+        assert res.params == pytest.approx(params, rel=1e-14, abs=0.0)
+        assert res.rss == pytest.approx(rss, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("form, column, start",
+                             [(sweepfit._poly_eval, "coherence", (0.5, 2.0, 0.5, 0.3)),
+                              (sweepfit._exp_eval, "lqu", (0.5, 5.0, 1.0, 0.0))],
+                             ids=["poly", "exp"])
+    def test_jacobian_built_once_per_point(self, form, column, start):
+        rows = synthetic_rows()
+        xs = np.array([r.x for r in rows])
+        ys = np.array([getattr(r, column) for r in rows])
+        evaluated, built = [], []
+
+        def counted(ax, params):
+            f, jac = form(ax, params)
+            at = np.array(params)
+            evaluated.append((at, float((f - ys) @ (f - ys))))
+
+            def counted_jac():
+                built.append(at)
+                return jac()
+            return f, counted_jac
+
+        _, _, converged, _, history = lm_least_squares(counted, xs, ys, start)
+        assert converged
+        # the points the fit moved to: a trial is accepted when its rss is
+        # finite and no larger than the rss of the current point
+        accepted = [evaluated[0]]
+        for at, rss in evaluated[1:]:
+            if math.isfinite(rss) and rss <= accepted[-1][1]:
+                accepted.append((at, rss))
+        assert [rss for _, rss in accepted] == history
+        assert len(evaluated) > len(accepted)  # some steps were rejected
+        # one Jacobian at p0 and at each accepted point, none after a rejection;
+        # the last point needs none when its step was below the step tolerance
+        assert len(built) in (len(accepted) - 1, len(accepted))
+        for (at, _), b in zip(accepted, built, strict=False):
+            assert np.array_equal(at, b)
+
+    @pytest.mark.parametrize("fit, y_field", [(fit_poly_form, "coherence"), (fit_exp_form, "lqu")])
+    @pytest.mark.parametrize("row, name, value", [(5, "x", math.nan), (0, "x", math.nan),
+                                                  (5, "x", math.inf), (5, "y", math.nan)])
+    def test_non_finite_data_rejected(self, fit, y_field, row, name, value):
+        # nan at the origin row would otherwise pass the origin check, and nan
+        # x would be read as x = 0 by the masked power
+        rows = synthetic_rows()
+        rows[row] = dataclasses.replace(rows[row], **{"x" if name == "x" else y_field: value})
+        with pytest.raises(ValueError, match=f"finite {name}, got {name} = {value} in row {row + 1}"):
+            fit(rows)
 
 
 class TestCollapseCheck:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -277,6 +279,17 @@ def test_error_bars_are_honest_at_high_l0(l0, p0, x, tol):
     # the 128x256 and 256x512 rules differ here by more than tol; the pair
     # (181x362, 256x512) agrees, and nested quad confirms its error bars
     test_error_bars_are_honest(l0, p0, x, tol)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(l0=st.integers(1, 40), p0=st.integers(0, 3), x=st.floats(1e-3, 100.0),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-11]))
+def test_channel_coefficients_in_range(l0, p0, x, tol):
+    beam = BeamParams(waist=1.0, l0=l0, p0=p0)
+    cc = channel_ab(beam, r0_from_x(beam, x), tol)
+    assert 0.0 <= cc.b <= cc.a <= 1.0
+    assert 0.0 < cc.err_a <= tol
+    assert 0.0 < cc.err_b <= tol
 
 
 def test_rule_cache_carries_no_state(monkeypatch):
