@@ -23,7 +23,6 @@ from .measures import (
 )
 from .qstate import (
     ChannelCoefficients,
-    DegenerateChannel,
     WernerParams,
     XState,
     apply_channel,
@@ -34,7 +33,7 @@ from .qstate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamParams", "ChannelCoefficients", "ConvergenceFailure", "DegenerateChannel",
+    "BeamParams", "ChannelCoefficients", "ConvergenceFailure",
     "EsdResult", "FitResult", "GridMismatch", "MeasureTriple", "SweepRow",
     "TurbulenceParams", "WernerParams", "XState",
     "apply_channel", "channel_ab", "collapse_check", "concurrence_analytic",

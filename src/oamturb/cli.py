@@ -46,10 +46,6 @@ _COLUMNS = fields(SweepRow)
 CSV_HEADER = ",".join(column.name for column in _COLUMNS)
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def fmt(v) -> str:
     """12 significant digits; scientific notation for small magnitudes."""
     if isinstance(v, bool):
@@ -95,24 +91,24 @@ def load_config_file(path: str) -> dict:
         read = parser.read(path)
     except configparser.Error as exc:
         reason = str(exc).splitlines()[0]
-        raise ConfigError(f"malformed config file {path}: {reason}") from exc
+        raise ValueError(f"malformed config file {path}: {reason}") from exc
     if not read:
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     if parser.defaults():
-        raise ConfigError("keys under [DEFAULT] are not allowed")
+        raise ValueError("keys under [DEFAULT] are not allowed")
     sections = dict.fromkeys(section for section, _, _ in _KEYS.values())
     for section in parser.sections():
         if section not in sections:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ValueError(f"unknown section [{section}]")
     values = {}
     for section in filter(parser.has_section, sections):
         for key, raw in parser.items(section):
             if key not in _KEYS or _KEYS[key][0] != section:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                raise ValueError(f"unknown key {key!r} in section [{section}]")
             try:
                 values[key] = _KEYS[key][1](raw)
             except ValueError as exc:
-                raise ConfigError(f"invalid value for {key}: {raw!r}") from exc
+                raise ValueError(f"invalid value for {key}: {raw!r}") from exc
     return values
 
 
@@ -139,7 +135,7 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     v.update((key, val) for key, val in vars(args).items() if key in _KEYS and val is not None)
     for key in ("x", "x_min", "x_max", "tol", "cn2", "k", "path_length"):
         if key in v and not math.isfinite(v[key]):
-            raise ConfigError(f"{key} must be finite, got {v[key]}")
+            raise ValueError(f"{key} must be finite, got {v[key]}")
     beam = BeamParams(waist=v.get("omega0", 1.0), l0=v.get("l0", 1), p0=v.get("p0", 0))
     werner = WernerParams(
         gamma=v.get("gamma", 1.0),
@@ -149,24 +145,24 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
 
     tol = v.get("tol", 1e-9)
     if not tol > 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+        raise ValueError(f"tolerance must be positive, got {tol}")
 
     if 0 < sum(key in v for key in ("cn2", "k", "path_length")) < 3:
-        raise ConfigError("physical turbulence spec needs all of cn2, k, path_length")
+        raise ValueError("physical turbulence spec needs all of cn2, k, path_length")
     # cn2 stands for the whole physical triple from here on
     point = [key for key in ("r0", "cn2", "x") if key in v]
     if command in ("channel", "measures"):
         if len(point) != 1 or any(key in v for key in ("x_min", "x_max", "x_points")):
-            raise ConfigError(
+            raise ValueError(
                 f"{command} requires exactly one turbulence spec: r0, cn2/k/path_length, or x")
     elif point:
         grid = "an x grid or --input CSV" if command == "fit" else "an x grid (x_min/x_max/x_points)"
-        raise ConfigError(f"{command} takes {grid}, not a point spec")
+        raise ValueError(f"{command} takes {grid}, not a point spec")
 
     turb = None
     if "r0" in point:
         if not v["r0"] > 0:
-            raise ConfigError(f"r0 must be positive, got {v['r0']}")
+            raise ValueError(f"r0 must be positive, got {v['r0']}")
         turb = TurbulenceParams(v["r0"])
     elif "cn2" in point:
         turb = TurbulenceParams.from_physical(v["cn2"], v["k"], v["path_length"])
@@ -178,25 +174,25 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     x_points = v.get("x_points", 61)
     # esd bisects [x_min, x_max] and builds no grid, so only sweep and fit need points
     if x_min < 0 or x_max <= x_min or (x_points < 2 and command in ("sweep", "fit")):
-        raise ConfigError(f"invalid x grid: [{x_min}, {x_max}] with {x_points} points")
+        raise ValueError(f"invalid x grid: [{x_min}, {x_max}] with {x_points} points")
 
     form = v.get("form")
     if command == "fit" and form not in ("poly", "exp"):
-        raise ConfigError("fit requires --form poly or --form exp")
+        raise ValueError("fit requires --form poly or --form exp")
 
     initial = None
     if "initial" in v:
         try:
             initial = tuple(float(t) for t in v["initial"].split(","))
         except ValueError as exc:
-            raise ConfigError(f"invalid initial guess: {v['initial']!r}") from exc
+            raise ValueError(f"invalid initial guess: {v['initial']!r}") from exc
         if len(initial) != 4:
-            raise ConfigError("initial guess needs 4 comma-separated values")
+            raise ValueError("initial guess needs 4 comma-separated values")
         if not all(map(math.isfinite, initial)):
-            raise ConfigError(f"initial must be finite, got {v['initial']}")
+            raise ValueError(f"initial must be finite, got {v['initial']}")
 
     if command == "sweep" and "out" not in v:
-        raise ConfigError("sweep requires an output path (--out)")
+        raise ValueError("sweep requires an output path (--out)")
 
     return RunConfig(
         beam=beam, werner=werner, tol=tol, turb=turb,
@@ -234,15 +230,15 @@ def csv_to_rows(path: str) -> list[SweepRow]:
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path} does not carry the expected sweep header")
+        raise ValueError(f"{path} does not carry the expected sweep header")
     rows = []
     for n, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
         if len(parts) != len(_COLUMNS):
-            raise ConfigError(f"malformed sweep row: {ln!r}")
+            raise ValueError(f"malformed sweep row: {ln!r}")
         values = [column.type(part) for column, part in zip(_COLUMNS, parts)]
         if not all(map(math.isfinite, values)):
-            raise ConfigError(f"non-finite value in sweep row {n}: {ln!r}")
+            raise ValueError(f"non-finite value in sweep row {n}: {ln!r}")
         rows.append(SweepRow(*values))
     return rows
 
@@ -257,7 +253,7 @@ def cmd_sweep(cfg: RunConfig, stdout):
         tmp.write_text(rows_to_csv(rows))
         os.replace(tmp, out)
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     finally:
         tmp.unlink(missing_ok=True)
     print(f"wrote {len(rows)} rows to {cfg.out}", file=stdout)
@@ -293,12 +289,13 @@ def cmd_esd(cfg: RunConfig, stdout):
     print(f"sudden_change_x={fmt(change) if change is not None else 'none'}", file=stdout)
 
 
+# each subcommand once: name -> (handler, help), in --help order
 _COMMANDS = {
-    "channel": cmd_channel,
-    "sweep": cmd_sweep,
-    "fit": cmd_fit,
-    "esd": cmd_esd,
-    "measures": cmd_measures,
+    "channel": (cmd_channel, "survival/crosstalk coefficients for one turbulence strength"),
+    "sweep": (cmd_sweep, "sweep turbulence strength and write a CSV of measures"),
+    "fit": (cmd_fit, "fit a universal decay form to a sweep"),
+    "esd": (cmd_esd, "entanglement sudden-death threshold and LQU sudden change"),
+    "measures": (cmd_measures, "concurrence, coherence and LQU for one configuration"),
 }
 
 
@@ -308,13 +305,7 @@ def main(argv=None) -> int:
         description="OAM photon-pair quantumness through Kolmogorov turbulence",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("channel", "survival/crosstalk coefficients for one turbulence strength"),
-        ("sweep", "sweep turbulence strength and write a CSV of measures"),
-        ("fit", "fit a universal decay form to a sweep"),
-        ("esd", "entanglement sudden-death threshold and LQU sudden change"),
-        ("measures", "concurrence, coherence and LQU for one configuration"),
-    ):
+    for name, (_, doc) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=doc)
         sub.add_argument("--config", help="key=value config file with [beam]/[werner]/[turbulence]/[run] sections")
         for key, (_, kind, text) in _KEYS.items():
@@ -327,7 +318,7 @@ def main(argv=None) -> int:
 
     # the one map from failure to exit code: bad input 2, numerics 3
     try:
-        _COMMANDS[args.command](build_config(args, args.command), sys.stdout)
+        _COMMANDS[args.command][0](build_config(args, args.command), sys.stdout)
     except ConvergenceFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

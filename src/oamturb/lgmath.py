@@ -78,7 +78,5 @@ def phase_correlation_length(beam: BeamParams) -> float:
     Gamma ratio computed via lgamma so large |l0| does not overflow.
     """
     labs = abs(beam.l0)
-    if labs < 1:
-        raise ValueError("phase correlation length undefined for l0 = 0")
     ratio = math.exp(math.lgamma(labs + 1.5) - math.lgamma(labs + 1.0))
     return math.sin(math.pi / (2.0 * labs)) * 0.5 * beam.waist * ratio

@@ -33,10 +33,10 @@ def concurrence_x(s: XState) -> float:
 
 
 def concurrence_analytic(w: WernerParams, cc: ChannelCoefficients) -> float:
-    """Closed-form concurrence of the Werner-like state through the channel:
-    max{0, (a^2 gamma sin(theta) - 2 a b gamma)/(a+b)^2 - (1-gamma)/2}."""
-    a, b = cc.a, cc.b
-    val = (a * a * w.gamma * math.sin(w.theta) - 2.0 * a * b * w.gamma) / (a + b) ** 2
+    """Closed-form concurrence of the Werner-like state through the channel,
+    with t = b/a: max{0, gamma (sin(theta) - 2t)/(1+t)^2 - (1-gamma)/2}."""
+    t = cc.b / cc.a
+    val = (w.gamma * math.sin(w.theta) - 2.0 * t * w.gamma) / (1.0 + t) ** 2
     return max(0.0, val - 0.5 * (1.0 - w.gamma))
 
 

@@ -10,10 +10,6 @@ _TRACE_TOL = 1e-12
 _POS_TOL = 1e-12
 
 
-class DegenerateChannel(ValueError):
-    """Channel coefficients with a + b ~ 0 leave no state to normalize."""
-
-
 @dataclass(frozen=True)
 class WernerParams:
     """Extended Werner-like input state: white noise of weight 1-gamma mixed
@@ -96,25 +92,24 @@ def werner_like(w: WernerParams) -> XState:
 def apply_channel(s: XState, cc: ChannelCoefficients) -> XState:
     """Push an X state through the two-photon turbulence channel.
 
-    Populations mix with weights {a^2, ab, ab, b^2} rotated per row,
-    coherences scale by a^2, everything divided by (a+b)^2; for unit-trace
-    input the division renormalizes exactly (asserted).
+    The map reads (a, b) only as the crosstalk ratio t = b/a, so any a > 0
+    gives a state: populations mix with weights {1, t, t, t^2} rotated per
+    row, coherences with weight 1, all divided by (1+t)^2.  XState checks
+    the output (unit trace, positivity).
     """
-    a, b = cc.a, cc.b
-    norm = (a + b) ** 2
-    if norm <= 1e-14:
-        raise DegenerateChannel(f"a + b = {a + b} too small to normalize the output")
-    aa, ab, bb = a * a, a * b, b * b
+    t = cc.b / cc.a
+    tt = t * t
+    norm = (1.0 + t) ** 2
+    scale = 1.0 / norm
     d1, d2, d3, d4 = s.d11, s.d22, s.d33, s.d44
-    out = (
-        (aa * d1 + ab * d2 + ab * d3 + bb * d4) / norm,
-        (ab * d1 + aa * d2 + bb * d3 + ab * d4) / norm,
-        (ab * d1 + bb * d2 + aa * d3 + ab * d4) / norm,
-        (bb * d1 + ab * d2 + ab * d3 + aa * d4) / norm,
+    return XState(
+        (d1 + t * d2 + t * d3 + tt * d4) / norm,
+        (t * d1 + d2 + tt * d3 + t * d4) / norm,
+        (t * d1 + tt * d2 + d3 + t * d4) / norm,
+        (tt * d1 + t * d2 + t * d3 + d4) / norm,
+        scale * s.c14,
+        scale * s.c23,
     )
-    assert abs(sum(out) - 1.0) < 1e-12, "channel failed to preserve trace"
-    scale = aa / norm
-    return XState(*out, scale * s.c14, scale * s.c23)
 
 
 def eigenvalues_x(s: XState) -> tuple[float, float, float, float]:

@@ -221,14 +221,25 @@ def _exp_eval(ax, params):
     return G * d_G, jac
 
 
+def _checked(form_name, x):
+    """The abscissa of x >= 0 (+inf gives the x -> inf limit); a NaN or negative
+    x, which the masked power would read as 0, raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    bad = np.flatnonzero(~(x >= 0.0))
+    if bad.size:
+        n = bad[0]
+        raise ValueError(f"{form_name} requires x >= 0, got x = {x.flat[n]:g} at index {n}")
+    return _Abscissa(x)
+
+
 def poly_form(x, params):
-    """f(x) = A/(x^p + B) + C with f(0) = A/B + C."""
-    return _poly_eval(_Abscissa(x), params)[0]
+    """f(x) = A/(x^p + B) + C with f(0) = A/B + C, for x >= 0."""
+    return _poly_eval(_checked("poly_form", x), params)[0]
 
 
 def exp_form(x, params):
-    """g(x) = G [exp(-alpha x^beta) + c] with g(0) = G (1 + c)."""
-    return _exp_eval(_Abscissa(x), params)[0]
+    """g(x) = G [exp(-alpha x^beta) + c] with g(0) = G (1 + c), for x >= 0."""
+    return _exp_eval(_checked("exp_form", x), params)[0]
 
 
 @np.errstate(all="ignore")  # a trial whose rss overflows is rejected, not warned about

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -133,6 +135,17 @@ class TestMeasuresCommand:
     def test_invalid_gamma(self, capsys):
         code, _, err = run_cli(["measures", "--x", "0", "--gamma", "1.5"], capsys)
         assert code == EXIT_CONFIG
+
+    def test_tiny_channel_gives_the_plateau(self, capsys):
+        # at l0 = 40, x = 1e5 the channel certifies a = 3.8e-8; the state step
+        # reads it only as b/a, so the measures match l0 = 1 at that strength
+        code, out, err = run_cli(["measures", "--l0", "40", "--x", "1e5"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        got = parse_report(out)
+        want = parse_report(run_cli(["measures", "--l0", "1", "--x", "1e5"], capsys)[1])
+        for key in ("concurrence", "coherence", "lqu"):
+            assert float(got[key]) == pytest.approx(float(want[key]), abs=1e-9)
+        assert got["lqu_branch"] == want["lqu_branch"]
 
 
 class TestSweepCommand:
@@ -356,6 +369,14 @@ class TestEsdCommand:
         assert rep["esd_x"] == "none"
         assert rep["reason"] == "zero at x_min"
 
+    def test_tiny_channel_at_the_range_end(self, capsys):
+        # a = 3.8e-8 at x_max = 1e5 for l0 = 40; both roots lie below x = 0.7
+        code, out, err = run_cli(["esd", "--l0", "40", "--theta", "0.3333333333333333",
+                                  "--x-max", "1e5"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rep = parse_report(out)
+        assert 0.0 < float(rep["sudden_change_x"]) < float(rep["esd_x"]) < 0.7
+
     def test_x_points_is_ignored(self, capsys):
         # esd bisects the range and builds no grid, so any grid size is accepted
         code, out, _ = run_cli(["esd", "--x-points", "1"], capsys)
@@ -556,8 +577,9 @@ class TestSettingsTable:
     def resolve(self, monkeypatch, capsys):
         """Run an argv through main and return the RunConfig its command receives."""
         got = []
-        for name in cli._COMMANDS:
-            monkeypatch.setitem(cli._COMMANDS, name, lambda cfg, stdout: got.append(cfg) or EXIT_OK)
+        for name, (_, doc) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name,
+                                (lambda cfg, stdout: got.append(cfg) or EXIT_OK, doc))
 
         def run(argv):
             assert run_cli(argv, capsys) == (EXIT_OK, "", "")
@@ -648,6 +670,19 @@ def test_rebinding_a_lazy_name_round_trips(monkeypatch):
         m.setattr(oamturb, "channel_ab", fake)
         assert oamturb.channel_ab is fake
     assert oamturb.channel_ab is turbulence.channel_ab
+
+
+def test_every_traced_site_resolves():
+    # perfbench/spans.py times a layer by rebinding these names; a name that no
+    # longer resolves would drop the layer from the benchmark's trace
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).parent.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = {f"{module}.{attr}" for _, attr, modules in spans.SITES for module in modules
+               if getattr(importlib.import_module(module), attr, None) is None}
+    # stale site: cli calls find_sudden_change, not detect_sudden_change
+    assert missing <= {"oamturb.cli.detect_sudden_change"}
 
 
 def test_laguerre_overflow_is_clean_numerical_failure():

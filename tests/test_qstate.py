@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import populations, random_x_state, to_dense
+from oamturb.measures import concurrence_analytic
 from oamturb.qstate import (
-    DegenerateChannel,
     WernerParams,
     XState,
     apply_channel,
@@ -126,10 +126,26 @@ class TestApplyChannel:
             assert s1.d33 == pytest.approx(s2.d22, abs=1e-14)
             assert abs(s1.c23) == pytest.approx(abs(s2.c23), abs=1e-14)
 
-    def test_degenerate_channel_rejected(self):
-        s = werner_like(BELL)
-        with pytest.raises(DegenerateChannel):
-            apply_channel(s, ChannelCoefficients(a=1e-15, b=0.0))
+    def test_reads_only_the_ratio(self, rng):
+        # (k a, k b) is the channel (a, b) for every k > 0, also where
+        # (a + b)^2 underflows
+        for _ in range(50):
+            w = WernerParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi),
+                             rng.uniform(0.0, 2.0 * math.pi))
+            cc = random_cc(rng)
+            ref = apply_channel(werner_like(w), cc)
+            for k in (1e-3, 1e-10, 1e-100, 1e-200, 1e-300):
+                scaled = ChannelCoefficients(k * cc.a, k * cc.b)
+                out = apply_channel(werner_like(w), scaled)
+                assert populations(out) == pytest.approx(populations(ref), abs=1e-15)
+                assert abs(out.c23 - ref.c23) <= 1e-15 and out.c14 == ref.c14 == 0j
+                assert concurrence_analytic(w, scaled) == pytest.approx(
+                    concurrence_analytic(w, cc), abs=1e-15)
+
+    def test_non_finite_ratio_rejected(self):
+        # b may exceed a by 1e-10, so a subnormal a gives t = b/a = inf
+        with pytest.raises(ValueError, match="trace"):
+            apply_channel(werner_like(BELL), ChannelCoefficients(a=5e-324, b=1e-11))
 
 
 class TestEigenvaluesX:

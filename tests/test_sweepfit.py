@@ -349,10 +349,25 @@ class TestFits:
 
     @pytest.mark.parametrize("fit", [fit_poly_form, fit_exp_form])
     def test_negative_x_rejected(self, fit):
-        grid = np.linspace(0.0, 3.0, 61)
-        grid[5] = -0.25
+        rows = synthetic_rows()
+        rows[5] = dataclasses.replace(rows[5], x=-0.25)
         with pytest.raises(ValueError, match=r"x >= 0, got x = -0.25 in row 6"):
-            fit(synthetic_rows(grid))
+            fit(rows)
+
+    @pytest.mark.parametrize("form, params", [(poly_form, POLY_FORM_INITIAL),
+                                              (exp_form, EXP_FORM_INITIAL)])
+    def test_forms_reject_nan_or_negative_x(self, form, params):
+        # the masked power would read these as x = 0 and return the origin value
+        for x, bad in (([0.0, 1.0, math.nan, -1.0], "nan at index 2"),
+                       ([0.5, -1e-300], "-1e-300 at index 1"), (-2.0, "-2 at index 0")):
+            with pytest.raises(ValueError, match=f"{form.__name__} requires x >= 0, got x = {bad}"):
+                form(np.array(x), params)
+
+    def test_forms_at_infinity_are_the_plateau(self):
+        A, p, B, C = POLY_FORM_INITIAL
+        G, alpha, beta, c = EXP_FORM_INITIAL
+        assert poly_form(np.array([0.0, math.inf]), POLY_FORM_INITIAL).tolist() == [A / B + C, C]
+        assert exp_form(np.array([0.0, math.inf]), EXP_FORM_INITIAL).tolist() == [G * (1 + c), G * c]
 
     def test_channel_sweep_fit_regression(self):
         # frozen minimum of the l0 = 10 coherence/lqu fits on the default grid
