@@ -67,7 +67,9 @@ class ChannelCoefficients:
             raise ValueError(f"survival coefficient out of range: a = {self.a}")
         if self.b < 0.0:
             raise ValueError(f"crosstalk coefficient negative: b = {self.b}")
-        if abs(self.b) > self.a + 1e-10:
+        # relative to a, which |cos| <= 1 makes every quadrature b meet;
+        # negated, so that a NaN b fails it
+        if not self.b <= self.a * (1.0 + 1e-10):
             raise ValueError(f"crosstalk exceeds survival: a = {self.a}, b = {self.b}")
 
 

@@ -20,6 +20,7 @@ agree to the tolerance.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,19 @@ _PEAK_NODES = 8
 
 # Round-off floor of an error estimate, relative to the sum of |terms|
 # (the QUADPACK 50 eps convention).
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+
+# Floor of the kernel exponent.  numpy's exp leaves its fast path below about
+# -708 and is 20-200x slower there; a floored term is below e^-700 ~ 1e-304
+# times its weights, and a rule has at most 256x512 terms, so the sums move
+# by less than 1e-297, far below the round-off floor of the error estimate.
+_EXP_FLOOR = -700.0
 
 # Gauss-Legendre nodes and weights on [0, 1], per size, filled on first use.
 _GAUSS = {}
+
+# The input-free radial factors of _radial, per size, filled on first use.
+_RADIAL = {}
 
 # The input-free angular factors of _angular, per size, filled on first use.
 _ANGULAR = {}
@@ -167,6 +177,15 @@ def _gauss01(n: int):
     return rule
 
 
+def _radial(n: int):
+    """s^6, 6 w_s and s^5 of the n-point radial rule in s, u = u_max s^6."""
+    rule = _RADIAL.get(n)
+    if rule is None:
+        s, ws = _gauss01(n)
+        rule = _RADIAL[n] = (s ** 6, ws * 6.0, s ** 5)
+    return rule
+
+
 def _angular(n: int):
     """theta nodes, theta weights (over pi) and -sin(theta/2)^(5/3) of the
     n-point angular rule in t, theta = pi t^3."""
@@ -183,11 +202,11 @@ def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int)
     """One tensor-product Gauss rule for (1/pi) int_0^umax du w(u) int_0^pi dtheta
     f(theta) exp(-c(u) sin(theta/2)^(5/3)) with f = 1 and f = cos(2 l0 theta).
 
-    Returns (values, sums of |terms|), one entry per f.
+    Returns (a, b, sum of |terms| of b) as floats; a is its own sum of |terms|.
     """
-    s, ws = _gauss01(n_u)
+    s6, ws6, s5 = _radial(n_u)
     theta, w_theta, neg_sin = _angular(n_th)
-    u = umax * s ** 6
+    u = umax * s6
     with np.errstate(over="ignore", invalid="ignore"):
         amplitude = radial_amplitude(u, beam)
     if not np.isfinite(amplitude).all():
@@ -195,18 +214,20 @@ def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int)
             "channel integral: the radial weight overflows the float range at "
             f"p0={beam.p0} (l0={beam.l0})")
     # radial weight u^|l| L_p^|l|(u)^2 e^-u p!/(p+|l|)! times du/ds = 6 umax s^5
-    radial = ws * 6.0 * umax * s ** 5 * amplitude ** 2
+    radial = ws6 * umax * s5 * amplitude ** 2
     kernel = np.outer(cscale * u ** (5.0 / 6.0), neg_sin)
-    np.exp(kernel, out=kernel)  # in place: the largest array of the rule, ~1 MB
+    # floored and exponentiated in place: the largest array of the rule, ~1 MB
+    np.maximum(kernel, _EXP_FLOOR, out=kernel)
+    np.exp(kernel, out=kernel)
     # one product against the columns w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
     # radial, kernel and w are positive, so a is also its own sum of |terms|
     cos_w = np.cos(2 * abs(beam.l0) * theta) * w_theta
-    sums = radial @ (kernel @ np.array((w_theta, cos_w, np.abs(cos_w))).T)
-    return sums[:2], sums[::2]
+    return (radial @ (kernel @ np.array((w_theta, cos_w, np.abs(cos_w))).T)).tolist()
 
 
 def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
-    """Integrals of _rule_sum to absolute tol, with error estimates.
+    """Integrals a, b of _rule_sum to absolute tol, with their error estimates
+    err_a, err_b, as four floats.
 
     Steps through _RULE_SIZES, about sqrt(2) apart, until two successive
     sizes agree to tol and returns the finer values.  Each error estimate is
@@ -228,16 +249,17 @@ def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
             f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g})")
     coarse = None
     for n_u, n_th in sizes:
-        fine, abs_sums = _rule_sum(beam, cscale, umax, n_u, n_th)
+        a, b, abs_b = _rule_sum(beam, cscale, umax, n_u, n_th)
         if coarse is not None:
-            errs = np.maximum(np.abs(fine - coarse), _ROUNDOFF * abs_sums + _TAIL_MASS)
-            if np.all(errs <= tol):
-                return fine, errs
-        coarse = fine
+            err_a = max(abs(a - coarse[0]), _ROUNDOFF * a + _TAIL_MASS)
+            err_b = max(abs(b - coarse[1]), _ROUNDOFF * abs_b + _TAIL_MASS)
+            if err_a <= tol and err_b <= tol:
+                return a, b, err_a, err_b
+        coarse = a, b
     raise ConvergenceFailure(
         f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule "
         f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g}); "
-        f"last error estimate {float(np.max(errs)):.3g}")
+        f"last error estimate {max(err_a, err_b):.3g}")
 
 
 def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> ChannelCoefficients:
@@ -253,8 +275,7 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
     if _c_scale(beam, turb) == 0.0:
         # r0 = inf, or turbulence so weak that the kernel exponent underflows
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
-    (a, b), (err_a, err_b) = _channel_integrals(beam, turb, tol)
-    a, b, err_a, err_b = (float(v) for v in (a, b, err_a, err_b))
+    a, b, err_a, err_b = _channel_integrals(beam, turb, tol)
     if b < 0.0:
         if b < -NEGATIVE_B_TOL:
             raise ConvergenceFailure(

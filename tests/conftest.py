@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,14 @@ from scipy.special import eval_genlaguerre, gamma, gammainccinv, gammaincinv, ga
 from oamturb import XState, sweepfit
 from oamturb.lgmath import BeamParams, phase_correlation_length, radial_amplitude
 from oamturb.turbulence import ChannelCoefficients, TurbulenceParams, x_ratio
+
+
+def fresh_python(*args, check=True):
+    """A new interpreter run with args, importing oamturb from src/."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=check, timeout=60)
 
 
 @pytest.fixture()

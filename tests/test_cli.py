@@ -2,12 +2,11 @@ import importlib
 import importlib.util
 import math
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
 from oamturb import cli, sweepfit
 from oamturb.cli import (
     CSV_HEADER,
@@ -369,6 +368,18 @@ class TestEsdCommand:
         assert rep["esd_x"] == "none"
         assert rep["reason"] == "zero at x_min"
 
+    @pytest.mark.parametrize("x_max", ["1", "3", "100"])
+    def test_roots_printed_to_bisection_width(self, x_max, capsys):
+        # both roots are bisected to width 1e-9: no digit below it is printed,
+        # and the value is the root to within the width plus the rounding
+        code, out, _ = run_cli(["esd", "--gamma", "1", "--theta", "0.3333333333333333",
+                                "--x-max", x_max], capsys)
+        assert code == EXIT_OK
+        rep = parse_report(out)
+        for key, root in (("esd_x", 0.5466156213), ("sudden_change_x", 0.1348369593)):
+            assert len(rep[key].split(".")[1]) <= 9
+            assert abs(float(rep[key]) - root) <= 1.5e-9
+
     def test_tiny_channel_at_the_range_end(self, capsys):
         # a = 3.8e-8 at x_max = 1e5 for l0 = 40; both roots lie below x = 0.7
         code, out, err = run_cli(["esd", "--l0", "40", "--theta", "0.3333333333333333",
@@ -611,20 +622,8 @@ class TestSettingsTable:
 
 def test_runtime_does_not_import_scipy():
     # numpy is the only runtime dependency; scipy is for the tests' oracles
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, oamturb, oamturb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
-
-
-def _fresh_python(code):
-    """stdout of code run in a new interpreter that imports oamturb from src/."""
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=60).stdout
+    assert fresh_python("-c", code).stdout.strip() == "[]"
 
 
 def test_state_path_does_not_import_numpy():
@@ -635,7 +634,7 @@ def test_state_path_does_not_import_numpy():
             "print('numpy' in sys.modules)\n"
             "o.channel_ab\n"
             "print('numpy' in sys.modules)")
-    assert _fresh_python(code).split() == ["False", "True"]
+    assert fresh_python("-c", code).stdout.split() == ["False", "True"]
 
 
 def test_every_public_name_resolves():
@@ -644,9 +643,9 @@ def test_every_public_name_resolves():
             "print(all(globals()[n] is getattr(oamturb, n) for n in oamturb.__all__))\n"
             "print(oamturb.sweepfit.POLY_FORM_INITIAL == (0.183, 3.78, 0.21, 0.131))\n"
             "print(oamturb.ChannelCoefficients is oamturb.turbulence.ChannelCoefficients)")
-    assert _fresh_python(code).split() == ["True"] * 3
+    assert fresh_python("-c", code).stdout.split() == ["True"] * 3
     code = "import oamturb\nprint(set(oamturb.__all__) <= set(dir(oamturb)))"
-    assert _fresh_python(code).split() == ["True"]
+    assert fresh_python("-c", code).stdout.split() == ["True"]
 
 
 def test_unknown_name_is_attribute_error():
@@ -688,10 +687,7 @@ def test_every_traced_site_resolves():
 def test_laguerre_overflow_is_clean_numerical_failure():
     # at p0 = 400 the Laguerre recurrence overflows inside the radial rule;
     # run in a fresh interpreter so that any numpy warning reaches stderr
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "oamturb", "channel", "--x", "1", "--p0", "400"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = fresh_python("-m", "oamturb", "channel", "--x", "1", "--p0", "400", check=False)
     assert done.returncode == EXIT_NUMERICAL
     assert done.stdout == ""
     assert "Warning" not in done.stderr

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln
 
-from conftest import channel_ab_bruteforce, channel_ab_quad, lambda_element, large_x_limit
+from conftest import (
+    channel_ab_bruteforce,
+    channel_ab_quad,
+    fresh_python,
+    lambda_element,
+    large_x_limit,
+)
 from oamturb import turbulence
 from oamturb.lgmath import BeamParams, phase_correlation_length
 from oamturb.turbulence import (
@@ -303,10 +309,49 @@ def test_rule_cache_carries_no_state(monkeypatch):
     cold = {}
     for l0 in (1, 40):
         monkeypatch.setattr(turbulence, "_GAUSS", {})
+        monkeypatch.setattr(turbulence, "_RADIAL", {})
         monkeypatch.setattr(turbulence, "_ANGULAR", {})
         cold[l0] = evaluate(l0)
     for order in ((1, 40), (40, 1)):
         assert {l0: evaluate(l0) for l0 in order} == cold
+
+
+def test_first_call_builds_only_the_rules_it_uses():
+    # the radial and angular tables fill per size on first use: a fresh
+    # process builds the Gauss rules of the ladder steps it reaches, no more
+    code = ("from oamturb import turbulence as t\n"
+            "beam = t.BeamParams(1, 1)\n"
+            "t.channel_ab(beam, t.r0_from_x(beam, 0.5), 1e-9)\n"
+            "print(sorted(t._GAUSS), sorted(t._RADIAL), sorted(t._ANGULAR))")
+    assert fresh_python("-c", code).stdout.strip() == "[32, 45, 64, 90] [32, 45] [64, 90]"
+
+
+@pytest.mark.parametrize("l0, p0, x", [(40, 0, 1.0), (40, 0, 50.0), (10, 2, 20.0)])
+def test_exponent_floor_moves_no_bit(monkeypatch, l0, p0, x):
+    # the kernel exponent reaches about -c_scale u_max^(5/6) at the outer nodes,
+    # far below the floor here, yet the floored terms change no bit of the sums
+    beam = BeamParams(waist=1.0, l0=l0, p0=p0)
+    turb = r0_from_x(beam, x)
+    assert turbulence._c_scale(beam, turb) * _u_max(beam) ** (5.0 / 6.0) > -2.0 * turbulence._EXP_FLOOR
+    floored = channel_ab(beam, turb, 1e-11)
+    monkeypatch.setattr(turbulence, "_EXP_FLOOR", -math.inf)
+    unfloored = channel_ab(beam, turb, 1e-11)
+    assert ([v.hex() for v in (floored.a, floored.b, floored.err_a, floored.err_b)]
+            == [v.hex() for v in (unfloored.a, unfloored.b, unfloored.err_a, unfloored.err_b)])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(l0=st.integers(1, 40), p0=st.integers(0, 3), x=st.floats(1e-3, 100.0),
+       k=st.floats(1e-3, 1e3))
+def test_waist_and_fried_scale_together(l0, p0, x, k):
+    # (a, b) depend on (w0/r0, l0, p0) only: scaling both lengths by k moves
+    # each coefficient by no more than the two error bars together
+    beam = BeamParams(waist=1.0, l0=l0, p0=p0)
+    turb = r0_from_x(beam, x)
+    cc = channel_ab(beam, turb, 1e-9)
+    scaled = channel_ab(BeamParams(waist=k, l0=l0, p0=p0), TurbulenceParams(k * turb.fried_r0), 1e-9)
+    assert abs(scaled.a - cc.a) <= cc.err_a + scaled.err_a
+    assert abs(scaled.b - cc.b) <= cc.err_b + scaled.err_b
 
 
 class TestLambdaElement:
@@ -356,6 +401,15 @@ class TestChannelCoefficients:
             ChannelCoefficients(a=0.3, b=0.4)
         ChannelCoefficients(a=1.0, b=0.0)
         ChannelCoefficients(a=0.5, b=0.5)
+        ChannelCoefficients(a=1e-12, b=1e-12)
+        ChannelCoefficients(a=5e-324, b=5e-324)
+
+    @pytest.mark.parametrize("a, b", [(1e-12, 1e-11), (5e-324, 1e-11), (1e-12, 1.001e-12),
+                                      (0.5, math.nan)])
+    def test_crosstalk_bound_is_relative(self, a, b):
+        # b <= a (1 + 1e-10): a tiny a admits no ratio b/a far above 1
+        with pytest.raises(ValueError, match=f"a = {a}, b = {b}"):
+            ChannelCoefficients(a, b)
 
     def test_turbulence_params_validation(self):
         with pytest.raises(ValueError):
