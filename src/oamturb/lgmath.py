@@ -54,21 +54,6 @@ def laguerre(p: int, alpha: int, x):
     return lcur
 
 
-def radial_amplitude(u, beam: BeamParams):
-    """Dimensionless LG amplitude at u = 2 r^2/w0^2, elementwise on arrays,
-
-        sqrt(p0!/(p0+|l0|)!) u^(|l0|/2) L_{p0}^{|l0|}(u) e^(-u/2),
-
-    whose square is the radial weight, of unit mass on u in [0, inf).
-    """
-    labs = abs(beam.l0)
-    p0 = beam.p0
-    # log-space prefactor: factorial ratio overflows well before |l0| ~ 150
-    lg = 0.5 * (math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0))
-    with np.errstate(divide="ignore"):  # log 0 = -inf: zero at u = 0 for |l0| >= 1
-        return np.exp(lg + 0.5 * labs * np.log(u) - 0.5 * u) * laguerre(p0, labs, u)
-
-
 def phase_correlation_length(beam: BeamParams) -> float:
     """Phase correlation length xi(l0): the transverse distance over which the
     helical phase advances by pi/2, averaged over the mode cross-section.

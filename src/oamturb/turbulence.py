@@ -15,8 +15,9 @@ depends on (w0/r0, l0, p0) only.
 Both integrals use one tensor-product Gauss-Legendre rule after the
 substitutions u = u_max s^6 and theta = pi t^3, which turn the u^(5/6) and
 sin(theta/2)^(5/3) endpoint singularities into smooth powers s^5 and t^5.
-The rule size grows by about sqrt(2) per step until two successive sizes
-agree to the tolerance.
+Each rule divides its sums by its own quadrature of the radial weight, whose
+exact mass is 1.  The rule size grows by about sqrt(2) per step until two
+successive sizes agree to the tolerance.
 """
 
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lgmath import BeamParams, phase_correlation_length, radial_amplitude
+from .lgmath import BeamParams, laguerre, phase_correlation_length
 from .qstate import ChannelCoefficients
 
 # Kolmogorov phase structure function constant: D = 6.88 (d/r0)^(5/3)
@@ -65,6 +66,9 @@ _RADIAL = {}
 
 # The input-free angular factors of _angular, per size, filled on first use.
 _ANGULAR = {}
+
+# The input-free kernel exponent of _exponent, per pair of sizes, filled on first use.
+_EXPONENT = {}
 
 
 class ConvergenceFailure(RuntimeError):
@@ -178,51 +182,71 @@ def _gauss01(n: int):
 
 
 def _radial(n: int):
-    """s^6, 6 w_s and s^5 of the n-point radial rule in s, u = u_max s^6."""
+    """The n-point radial rule in s, u = u_max s^6, as the (n, 4) table
+    (log(6 w_s s^5), log s^6, s^6, 1), whose product with
+    (1, |l0|, -u_max, shift) is the log radial weight."""
     rule = _RADIAL.get(n)
     if rule is None:
         s, ws = _gauss01(n)
-        rule = _RADIAL[n] = (s ** 6, ws * 6.0, s ** 5)
+        s6 = s ** 6
+        rule = _RADIAL[n] = np.column_stack((np.log(ws * 6.0 * s ** 5), np.log(s6), s6, np.ones(n)))
     return rule
 
 
 def _angular(n: int):
-    """theta nodes, theta weights (over pi) and -sin(theta/2)^(5/3) of the
-    n-point angular rule in t, theta = pi t^3."""
+    """theta nodes and theta weights (over pi) of the n-point angular rule in
+    t, theta = pi t^3."""
     rule = _ANGULAR.get(n)
     if rule is None:
         t, wt = _gauss01(n)
-        theta = math.pi * t ** 3
-        rule = _ANGULAR[n] = (theta, wt * 3.0 * t ** 2,  # dtheta/dt = 3 pi t^2, over pi
-                              -np.sin(0.5 * theta) ** (5.0 / 3.0))
+        rule = _ANGULAR[n] = (math.pi * t ** 3, wt * 3.0 * t ** 2)  # dtheta/dt = 3 pi t^2, over pi
     return rule
 
 
-def _rule_sum(beam: BeamParams, cscale: float, umax: float, n_u: int, n_th: int):
-    """One tensor-product Gauss rule for (1/pi) int_0^umax du w(u) int_0^pi dtheta
-    f(theta) exp(-c(u) sin(theta/2)^(5/3)) with f = 1 and f = cos(2 l0 theta).
+def _exponent(n_u: int, n_th: int):
+    """s^5 (-sin(theta/2)^(5/3)) on the (n_u, n_th) rule: the kernel exponent
+    over c(u_max), since c(u) = c(u_max) s^5."""
+    rule = _EXPONENT.get((n_u, n_th))
+    if rule is None:
+        sin = np.sin(0.5 * _angular(n_th)[0]) ** (5.0 / 3.0)
+        rule = _EXPONENT[n_u, n_th] = np.outer(_gauss01(n_u)[0] ** 5, -sin)
+    return rule
 
+
+def _rule_sum(beam: BeamParams, coef, cu_max: float, n_u: int, n_th: int):
+    """One tensor-product Gauss rule for (1/pi) int_0^umax du w(u) int_0^pi dtheta
+    f(theta) exp(-c(u) sin(theta/2)^(5/3)) with f = 1 and f = cos(2 l0 theta),
+    divided by the rule's own radial mass int w, which is 1.
+
+    coef is the per-call vector of _radial's table and cu_max = c(u_max).
     Returns (a, b, sum of |terms| of b) as floats; a is its own sum of |terms|.
     """
-    s6, ws6, s5 = _radial(n_u)
-    theta, w_theta, neg_sin = _angular(n_th)
-    u = umax * s6
-    with np.errstate(over="ignore", invalid="ignore"):
-        amplitude = radial_amplitude(u, beam)
-    if not np.isfinite(amplitude).all():
-        raise ConvergenceFailure(
-            "channel integral: the radial weight overflows the float range at "
-            f"p0={beam.p0} (l0={beam.l0})")
-    # radial weight u^|l| L_p^|l|(u)^2 e^-u p!/(p+|l|)! times du/ds = 6 umax s^5
-    radial = ws6 * umax * s5 * amplitude ** 2
-    kernel = np.outer(cscale * u ** (5.0 / 6.0), neg_sin)
-    # floored and exponentiated in place: the largest array of the rule, ~1 MB
+    table = _radial(n_u)
+    theta, w_theta = _angular(n_th)
+    # log of each node's weight w_s du/ds u^|l| e^-u p!/(p+|l|)!, du/ds = 6 umax s^5
+    log_w = table @ coef
+    labs = abs(beam.l0)
+    if beam.p0:
+        # times L_p^|l|(u)^2 at u = umax s^6 (coef[2] = -umax), squared after
+        # the product so that only a weight beyond the float range overflows
+        radial = (np.exp(0.5 * log_w) * laguerre(beam.p0, labs, -coef[2] * table[:, 2])) ** 2
+    else:
+        radial = np.exp(log_w)
+    # the kernel, floored and exponentiated in place: ~1 MB at 256x512
+    kernel = cu_max * _exponent(n_u, n_th)
     np.maximum(kernel, _EXP_FLOOR, out=kernel)
     np.exp(kernel, out=kernel)
     # one product against the columns w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
     # radial, kernel and w are positive, so a is also its own sum of |terms|
-    cos_w = np.cos(2 * abs(beam.l0) * theta) * w_theta
-    return (radial @ (kernel @ np.array((w_theta, cos_w, np.abs(cos_w))).T)).tolist()
+    cos_w = np.cos(2 * labs * theta) * w_theta
+    sums = (radial @ (kernel @ np.array((w_theta, cos_w, np.abs(cos_w))).T)).tolist()
+    # radial >= 0, so a weight beyond the float range leaves the mass inf or nan
+    mass = float(radial.sum())
+    if not math.isfinite(mass):
+        raise ConvergenceFailure(
+            "channel integral: the radial weight overflows the float range at "
+            f"p0={beam.p0} (l0={beam.l0})")
+    return [v / mass for v in sums]
 
 
 def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
@@ -236,11 +260,16 @@ def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
     if the largest rule still misses tol, or if the peak is too narrow for the
     rules at all.
     """
-    cscale = _c_scale(beam, turb)
     umax = _u_max(beam)
+    cu_max = _c_scale(beam, turb) * umax ** (5.0 / 6.0)
+    labs = abs(beam.l0)
+    # any constant in the log weight cancels against the rule's mass; this one
+    # makes it the unit-mass weight, so it overflows only where that does
+    coef = np.array((1.0, labs, -umax, (labs + 1) * math.log(umax)
+                     + math.lgamma(beam.p0 + 1.0) - math.lgamma(beam.p0 + labs + 1.0)))
     # In t the kernel is about exp(-c (pi/2)^(5/3) t^5), narrowest at u_max,
     # and an n-point Gauss rule on [0, 1] has about 2 n sqrt(t)/pi nodes below t.
-    peak = (cscale * umax ** (5.0 / 6.0) * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2
+    peak = (cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2
     sizes = [size for size in _RULE_SIZES
              if 2.0 * size[1] * math.sqrt(peak) / math.pi >= _PEAK_NODES]
     if len(sizes) < 2:
@@ -248,14 +277,16 @@ def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
             "channel integral: turbulence too strong to resolve "
             f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g})")
     coarse = None
-    for n_u, n_th in sizes:
-        a, b, abs_b = _rule_sum(beam, cscale, umax, n_u, n_th)
-        if coarse is not None:
-            err_a = max(abs(a - coarse[0]), _ROUNDOFF * a + _TAIL_MASS)
-            err_b = max(abs(b - coarse[1]), _ROUNDOFF * abs_b + _TAIL_MASS)
-            if err_a <= tol and err_b <= tol:
-                return a, b, err_a, err_b
-        coarse = a, b
+    # the Laguerre recurrence may overflow, which _rule_sum reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n_u, n_th in sizes:
+            a, b, abs_b = _rule_sum(beam, coef, cu_max, n_u, n_th)
+            if coarse is not None:
+                err_a = max(abs(a - coarse[0]), _ROUNDOFF * a + _TAIL_MASS)
+                err_b = max(abs(b - coarse[1]), _ROUNDOFF * abs_b + _TAIL_MASS)
+                if err_a <= tol and err_b <= tol:
+                    return a, b, err_a, err_b
+            coarse = a, b
     raise ConvergenceFailure(
         f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule "
         f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g}); "

@@ -12,7 +12,7 @@ from scipy.integrate import IntegrationWarning, quad, simpson
 from scipy.special import eval_genlaguerre, gamma, gammainccinv, gammaincinv, gammaln
 
 from oamturb import XState, sweepfit
-from oamturb.lgmath import BeamParams, phase_correlation_length, radial_amplitude
+from oamturb.lgmath import BeamParams, laguerre, phase_correlation_length
 from oamturb.turbulence import ChannelCoefficients, TurbulenceParams, x_ratio
 
 
@@ -186,6 +186,21 @@ def large_x_limit(l0: int, p0: int = 0) -> float:
     return gamma(1.6) * HALF_STRUCTURE ** -0.6 * xi / math.pi * moment
 
 
+def radial_amplitude(u, beam: BeamParams):
+    """Dimensionless LG amplitude at u = 2 r^2/w0^2, elementwise on arrays,
+
+        sqrt(p0!/(p0+|l0|)!) u^(|l0|/2) L_{p0}^{|l0|}(u) e^(-u/2),
+
+    whose square is the radial weight, of unit mass on u in [0, inf).
+    """
+    labs = abs(beam.l0)
+    p0 = beam.p0
+    # log-space prefactor: factorial ratio overflows well before |l0| ~ 150
+    lg = 0.5 * (math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0))
+    with np.errstate(divide="ignore"):  # log 0 = -inf: zero at u = 0 for |l0| >= 1
+        return np.exp(lg + 0.5 * labs * np.log(u) - 0.5 * u) * laguerre(p0, labs, u)
+
+
 def radial_profile(r, beam: BeamParams):
     """Radial amplitude R_{p0,l0}(r) of the LG mode, elementwise on arrays,
     normalized so that the intensity integral  int_0^inf R^2 r dr = 1.
@@ -193,8 +208,7 @@ def radial_profile(r, beam: BeamParams):
         R(r) = (2/w0) sqrt(p0!/(p0+|l0|)!) (r sqrt2/w0)^|l0|
                L_{p0}^{|l0|}(2 r^2/w0^2) exp(-r^2/w0^2)
 
-    The channel rule weights u = 2 r^2/w0^2 by the square of the same
-    ``radial_amplitude``; this scales it back to the physical radius.
+    It is ``radial_amplitude`` at u = 2 r^2/w0^2, scaled by 2/w0.
     """
     if np.any(r < 0):
         raise ValueError(f"radius must be non-negative, got {r}")

@@ -341,3 +341,41 @@ class TestStatePathProperties:
         t = measure_triple(out)
         assert all(0.0 <= m <= 1.0 for m in (t.concurrence, t.coherence_rel_ent, t.lqu))
         assert abs(concurrence_analytic(w, cc) - concurrence_x(out)) <= 1e-12
+
+
+def _through(w: WernerParams, t: float):
+    """The three measures of w after a channel of crosstalk ratio t = b/a."""
+    return measure_triple(apply_channel(werner_like(w), ChannelCoefficients(1.0, t)))
+
+
+class TestRobustness:
+    """The paper's robustness claim as properties in t = b/a, which rises from
+    0 to 1 with x: coherence stays above the LQU, and relative to its t = 0
+    value it never decays faster than the concurrence."""
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True), t=st.floats(0.0, 1.0))
+    def test_coherence_outlasts_lqu_and_concurrence(self, gamma, theta, phi, t):
+        w = WernerParams(gamma, theta, phi)
+        start, out = _through(w, 0.0), _through(w, t)
+        assert out.coherence_rel_ent >= out.lqu - 1e-12
+        # coherence/coherence_0 >= concurrence/concurrence_0, multiplied out so
+        # that a state with no entanglement or coherence at t = 0 needs no case
+        assert (out.coherence_rel_ent * start.concurrence
+                >= out.concurrence * start.coherence_rel_ent - 1e-12)
+
+    def test_bell_plateau(self):
+        # t -> 1 as x -> inf: entanglement is gone, coherence and LQU are not
+        out = _through(BELL, 1.0)
+        assert out.concurrence == 0.0
+        assert out.coherence_rel_ent == pytest.approx(0.0944, abs=5e-5)
+        assert out.lqu == pytest.approx(0.0341, abs=5e-5)
+
+    def test_normalized_lqu_can_outlast_coherence(self):
+        # relative to the t = 0 values the LQU may lead, here far from maximal
+        # entanglement, so only the absolute ordering above is a property
+        w = WernerParams(1.0, math.pi / 10)
+        start, out = _through(w, 0.0), _through(w, 0.3175)
+        lead = out.lqu / start.lqu - out.coherence_rel_ent / start.coherence_rel_ent
+        assert lead == pytest.approx(0.035325, abs=1e-6)

@@ -266,6 +266,27 @@ def test_radial_cut_tail_mass(l0, p0):
     assert tail <= _TAIL_MASS
 
 
+@pytest.mark.parametrize("x", [1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("l0", [1, 10, 20, 40, 60, 97])
+def test_small_x_series(l0, x):
+    # at p0 = 0 the weight is the Gamma(l0 + 1) density, so expanding the kernel
+    # a = sum_n (-c)^n/n! M(5n/6) S(5n/3), M(q) = E[u^q] = G(l0+1+q)/G(l0+1) and
+    # S(k) = G((k+1)/2)/(sqrt(pi) G(k/2+1)), the mean of sin(theta/2)^k on [0, pi];
+    # c M(5/6) < 1e-4 here, so the terms from c^4 on are below 1e-17
+    beam = BeamParams(waist=1.0, l0=l0)
+    turb = r0_from_x(beam, x)
+    c = 3.44 * (math.sqrt(2.0) / turb.fried_r0) ** (5.0 / 3.0)
+
+    def term(n):
+        q, k = 5.0 * n / 6.0, 5.0 * n / 3.0
+        return (-c) ** n / math.factorial(n) * math.exp(
+            math.lgamma(l0 + 1.0 + q) - math.lgamma(l0 + 1.0)
+            + math.lgamma(0.5 * (k + 1.0)) - math.lgamma(0.5 * k + 1.0)) / math.sqrt(math.pi)
+
+    cc = channel_ab(beam, turb, 1e-11)
+    assert abs(cc.a - math.fsum(term(n) for n in range(4))) <= cc.err_a
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-11])
 @pytest.mark.parametrize("x", [0.01, 1.0, 50.0])
 @pytest.mark.parametrize("p0", [0, 2])
@@ -314,6 +335,16 @@ def test_rule_cache_carries_no_state(monkeypatch):
         cold[l0] = evaluate(l0)
     for order in ((1, 40), (40, 1)):
         assert {l0: evaluate(l0) for l0 in order} == cold
+
+
+def test_exponent_table_carries_no_state(monkeypatch):
+    # the kernel exponent kept per pair of rule sizes changes no bit either
+    beam = BeamParams(waist=1.0, l0=10, p0=1)
+    turb = r0_from_x(beam, 2.0)
+    warm = channel_ab(beam, turb, 1e-11)
+    monkeypatch.setattr(turbulence, "_EXPONENT", {})
+    assert channel_ab(beam, turb, 1e-11) == warm
+    assert len(turbulence._EXPONENT) >= 2
 
 
 def test_first_call_builds_only_the_rules_it_uses():
