@@ -175,6 +175,8 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     # esd bisects [x_min, x_max] and builds no grid, so only sweep and fit need points
     if x_min < 0 or x_max <= x_min or (x_points < 2 and command in ("sweep", "fit")):
         raise ValueError(f"invalid x grid: [{x_min}, {x_max}] with {x_points} points")
+    if x_points > 10**6 and command in ("sweep", "fit"):
+        raise ValueError(f"x_points must be at most 10^6 (one channel call each), got {x_points}")
 
     form = v.get("form")
     if command == "fit" and form not in ("poly", "exp"):

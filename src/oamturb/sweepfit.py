@@ -252,9 +252,8 @@ def lm_least_squares(form, x, y, p0, max_iter=500):
     floor are built once per point: at p0 and after each accepted step; a
     rejected step re-damps and re-solves the same system.
 
-    Returns (params, rss, converged, iterations, rss_history); the history
-    records the rss after each accepted step and is non-increasing by
-    construction (steps that raise the rss are rejected and re-damped).
+    Returns (params, rss, converged, iterations); a step that raises the rss
+    is rejected and re-damped, so the rss never increases.
     Raises ValueError if the rss at p0 is not finite.
     """
     ax = _Abscissa(x)
@@ -264,7 +263,6 @@ def lm_least_squares(form, x, y, p0, max_iter=500):
     rss = float(resid @ resid)
     if not math.isfinite(rss):
         raise ValueError(f"the initial fit parameters give a non-finite rss ({rss})")
-    history = [rss]
     lam = 1e-3
     converged = False
     iterations = 0
@@ -291,7 +289,6 @@ def lm_least_squares(form, x, y, p0, max_iter=500):
         if math.isfinite(trial_rss) and trial_rss <= rss:
             accepted_step = abs(step).max()
             p, resid, rss, jac, grad = trial, trial_resid, trial_rss, trial_jac, None
-            history.append(rss)
             lam = max(lam / 3.0, 1e-14)
             if accepted_step < _STEP_TOL:
                 converged = True
@@ -300,7 +297,7 @@ def lm_least_squares(form, x, y, p0, max_iter=500):
             lam *= 10.0
             if lam > 1e14:
                 break
-    return p, rss, converged, iterations, history
+    return p, rss, converged, iterations
 
 
 def _fit(form_name, form, rows, column, initial, max_iter):
@@ -320,7 +317,7 @@ def _fit(form_name, form, rows, column, initial, max_iter):
         raise ValueError(f"fit requires x >= 0, got x = {xs[n]:g} in row {n + 1}")
     if xs.min() > 1e-12:
         raise ValueError("fit requires an x = 0 row (anchors the form at the origin)")
-    p, rss, converged, iterations, _ = lm_least_squares(form, xs, ys, initial, max_iter=max_iter)
+    p, rss, converged, iterations = lm_least_squares(form, xs, ys, initial, max_iter=max_iter)
     return FitResult(form=form_name, params=p, rss=rss,
                      converged=converged, iterations=iterations)
 
@@ -341,6 +338,8 @@ def collapse_check(curves: list[list[SweepRow]], measure: str = "coherence") -> 
     """Maximum pointwise absolute deviation between any two sweeps sharing a grid."""
     if measure not in MEASURE_FIELDS:
         raise ValueError(f"measure must be one of {MEASURE_FIELDS}, got {measure!r}")
+    if not all(curves):
+        raise ValueError("collapse_check needs sweeps of at least one row each, got an empty sweep")
     if len(curves) < 2:
         return 0.0
     grids = [np.array([r.x for r in rows]) for rows in curves]

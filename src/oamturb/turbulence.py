@@ -59,16 +59,12 @@ _ROUNDOFF = 50.0 * sys.float_info.epsilon
 _EXP_FLOOR = -700.0
 
 # Gauss-Legendre nodes and weights on [0, 1], per size, filled on first use.
+# Kept apart from _RULES because the sizes 64, 90, 128 and 256 each serve two
+# ladder steps, once as a radial and once as an angular size.
 _GAUSS = {}
 
-# The input-free radial factors of _radial, per size, filled on first use.
-_RADIAL = {}
-
-# The input-free angular factors of _angular, per size, filled on first use.
-_ANGULAR = {}
-
-# The input-free kernel exponent of _exponent, per pair of sizes, filled on first use.
-_EXPONENT = {}
+# The input-free tables of _rule, per _RULE_SIZES step, filled on first use.
+_RULES = {}
 
 
 class ConvergenceFailure(RuntimeError):
@@ -181,35 +177,21 @@ def _gauss01(n: int):
     return rule
 
 
-def _radial(n: int):
-    """The n-point radial rule in s, u = u_max s^6, as the (n, 4) table
-    (log(6 w_s s^5), log s^6, s^6, 1), whose product with
-    (1, |l0|, -u_max, shift) is the log radial weight."""
-    rule = _RADIAL.get(n)
+def _rule(n_u: int, n_th: int):
+    """The input-free tables of the (n_u, n_th) rule in s and t, u = u_max s^6
+    and theta = pi t^3: the (n_u, 4) radial table (log(6 w_s s^5), log s^6,
+    s^6, 1), whose product with (1, |l0|, -u_max, shift) is the log radial
+    weight; the theta nodes and weights (over pi); and the kernel exponent
+    over c(u_max), s^5 (-sin(theta/2)^(5/3)), since c(u) = c(u_max) s^5."""
+    rule = _RULES.get((n_u, n_th))
     if rule is None:
-        s, ws = _gauss01(n)
-        s6 = s ** 6
-        rule = _RADIAL[n] = np.column_stack((np.log(ws * 6.0 * s ** 5), np.log(s6), s6, np.ones(n)))
-    return rule
-
-
-def _angular(n: int):
-    """theta nodes and theta weights (over pi) of the n-point angular rule in
-    t, theta = pi t^3."""
-    rule = _ANGULAR.get(n)
-    if rule is None:
-        t, wt = _gauss01(n)
-        rule = _ANGULAR[n] = (math.pi * t ** 3, wt * 3.0 * t ** 2)  # dtheta/dt = 3 pi t^2, over pi
-    return rule
-
-
-def _exponent(n_u: int, n_th: int):
-    """s^5 (-sin(theta/2)^(5/3)) on the (n_u, n_th) rule: the kernel exponent
-    over c(u_max), since c(u) = c(u_max) s^5."""
-    rule = _EXPONENT.get((n_u, n_th))
-    if rule is None:
-        sin = np.sin(0.5 * _angular(n_th)[0]) ** (5.0 / 3.0)
-        rule = _EXPONENT[n_u, n_th] = np.outer(_gauss01(n_u)[0] ** 5, -sin)
+        s, ws = _gauss01(n_u)
+        t, wt = _gauss01(n_th)
+        s6, theta = s ** 6, math.pi * t ** 3
+        rule = _RULES[n_u, n_th] = (
+            np.column_stack((np.log(ws * 6.0 * s ** 5), np.log(s6), s6, np.ones(n_u))),
+            theta, wt * 3.0 * t ** 2,  # dtheta/dt = 3 pi t^2, over pi
+            np.outer(s ** 5, -np.sin(0.5 * theta) ** (5.0 / 3.0)))
     return rule
 
 
@@ -218,11 +200,10 @@ def _rule_sum(beam: BeamParams, coef, cu_max: float, n_u: int, n_th: int):
     f(theta) exp(-c(u) sin(theta/2)^(5/3)) with f = 1 and f = cos(2 l0 theta),
     divided by the rule's own radial mass int w, which is 1.
 
-    coef is the per-call vector of _radial's table and cu_max = c(u_max).
+    coef is the per-call vector of the radial table of _rule and cu_max = c(u_max).
     Returns (a, b, sum of |terms| of b) as floats; a is its own sum of |terms|.
     """
-    table = _radial(n_u)
-    theta, w_theta = _angular(n_th)
+    table, theta, w_theta, exponent = _rule(n_u, n_th)
     # log of each node's weight w_s du/ds u^|l| e^-u p!/(p+|l|)!, du/ds = 6 umax s^5
     log_w = table @ coef
     labs = abs(beam.l0)
@@ -233,7 +214,7 @@ def _rule_sum(beam: BeamParams, coef, cu_max: float, n_u: int, n_th: int):
     else:
         radial = np.exp(log_w)
     # the kernel, floored and exponentiated in place: ~1 MB at 256x512
-    kernel = cu_max * _exponent(n_u, n_th)
+    kernel = cu_max * exponent
     np.maximum(kernel, _EXP_FLOOR, out=kernel)
     np.exp(kernel, out=kernel)
     # one product against the columns w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;

@@ -535,6 +535,12 @@ BAD_INPUTS = {
                    "error: turbulence strength x must be non-negative, got -1.0"),
     "one_point_grid": (["sweep", "--x-points", "1", "--out", "f.csv"], {},
                        "error: invalid x grid: [0.0, 3.0] with 1 points"),
+    "huge_sweep_grid": (["sweep", "--x-points", "10000000000000", "--out", "f.csv"], {},
+                        "error: x_points must be at most 10^6 (one channel call each), "
+                        "got 10000000000000"),
+    "huge_fit_grid": (["fit", "--form", "poly", "--x-points", "10000000000000"], {},
+                      "error: x_points must be at most 10^6 (one channel call each), "
+                      "got 10000000000000"),
     "reversed_grid": (["sweep", "--x-min", "2", "--x-max", "1", "--out", "f.csv"], {},
                       "error: invalid x grid: [2.0, 1.0] with 61 points"),
     "junk_initial": (["fit", "--form", "poly", "--input", "d.csv", "--initial", "a,b,c,d"], {},

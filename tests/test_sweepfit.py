@@ -331,9 +331,24 @@ class TestFits:
         rows = synthetic_rows()
         xs = np.array([r.x for r in rows])
         ys = np.array([r.coherence for r in rows])
-        _, _, _, _, history = lm_least_squares(
-            sweepfit._poly_eval, xs, ys, (0.4, 2.5, 0.5, 0.2))
-        assert all(h1 >= h2 for h1, h2 in zip(history, history[1:]))
+        built = []
+
+        def recorded(ax, params):
+            f, jac = sweepfit._poly_eval(ax, params)
+            rss = float((f - ys) @ (f - ys))
+
+            def recorded_jac():
+                built.append(rss)
+                return jac()
+            return f, recorded_jac
+
+        # the Jacobian is built at p0 and at accepted points only, so built
+        # holds the rss along the path the fit moved on
+        p, rss, _, _ = lm_least_squares(recorded, xs, ys, (0.4, 2.5, 0.5, 0.2))
+        final = sweepfit._poly_eval(sweepfit._Abscissa(xs), p)[0] - ys
+        assert len(built) > 2
+        assert all(r1 >= r2 for r1, r2 in zip(built, built[1:]))
+        assert built[-1] >= rss == float(final @ final)
 
     def test_non_finite_initial_rss_rejected(self):
         rows = synthetic_rows()
@@ -484,15 +499,15 @@ class TestFitBookkeeping:
                 return jac()
             return f, counted_jac
 
-        _, _, converged, _, history = lm_least_squares(counted, xs, ys, start)
+        p, rss, converged, _ = lm_least_squares(counted, xs, ys, start)
         assert converged
         # the points the fit moved to: a trial is accepted when its rss is
         # finite and no larger than the rss of the current point
         accepted = [evaluated[0]]
-        for at, rss in evaluated[1:]:
-            if math.isfinite(rss) and rss <= accepted[-1][1]:
-                accepted.append((at, rss))
-        assert [rss for _, rss in accepted] == history
+        for at, trial_rss in evaluated[1:]:
+            if math.isfinite(trial_rss) and trial_rss <= accepted[-1][1]:
+                accepted.append((at, trial_rss))
+        assert np.array_equal(accepted[-1][0], p) and accepted[-1][1] == rss
         assert len(evaluated) > len(accepted)  # some steps were rejected
         # one Jacobian at p0 and at each accepted point, none after a rejection;
         # the last point needs none when its step was below the step tolerance
@@ -527,6 +542,11 @@ class TestCollapseCheck:
     def test_grid_mismatch_raises(self):
         with pytest.raises(GridMismatch):
             collapse_check([synthetic_rows(), synthetic_rows(np.linspace(0, 3, 31))])
+
+    @pytest.mark.parametrize("curves", [[[], []], [[]]], ids=["two", "one"])
+    def test_empty_sweeps_rejected(self, curves):
+        with pytest.raises(ValueError, match="empty sweep"):
+            collapse_check(curves)
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError):
