@@ -351,6 +351,17 @@ def test_rule_cache_carries_no_state(monkeypatch):
         assert {case: evaluate(*case) for case in order} == cold
 
 
+def test_exponent_table_carries_no_state(monkeypatch):
+    # the kernel exponent, kept in the rule table of each ladder step, changes
+    # no bit either: rebuilding the rule tables after a warm call
+    beam = BeamParams(waist=1.0, l0=10, p0=1)
+    turb = r0_from_x(beam, 2.0)
+    warm = channel_ab(beam, turb, 1e-11)
+    monkeypatch.setattr(turbulence, "_RULES", {})
+    assert channel_ab(beam, turb, 1e-11) == warm
+    assert len(turbulence._RULES) >= 2
+
+
 def test_first_call_builds_only_the_rules_it_uses():
     # the rule tables fill per ladder step on first use: a fresh process
     # builds the Gauss rules and tables of the ladder steps it reaches, no more
