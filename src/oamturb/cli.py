@@ -22,6 +22,7 @@ from .qstate import WernerParams, apply_channel, werner_like
 from .sweepfit import (
     EXP_FORM_INITIAL,
     POLY_FORM_INITIAL,
+    ROOT_DIGITS,
     SweepRow,
     find_esd,
     find_sudden_change,
@@ -283,13 +284,13 @@ def cmd_fit(cfg: RunConfig, stdout):
 def cmd_esd(cfg: RunConfig, stdout):
     res = find_esd(cfg.beam, cfg.werner, cfg.tol, x_max=cfg.x_max, x_min=cfg.x_min)
     change = find_sudden_change(cfg.beam, cfg.werner, cfg.tol, x_max=cfg.x_max, x_min=cfg.x_min)
-    # both roots are bisected to width 1e-9: print no digit below it
+    # both roots are bisected to width 10^-ROOT_DIGITS: print no digit below it
     if res.x_star is None:
         print("esd_x=none", file=stdout)
         print(f"reason={res.reason}", file=stdout)
     else:
-        print(f"esd_x={fmt(round(res.x_star, 9))}", file=stdout)
-    print(f"sudden_change_x={fmt(round(change, 9)) if change is not None else 'none'}",
+        print(f"esd_x={fmt(round(res.x_star, ROOT_DIGITS))}", file=stdout)
+    print(f"sudden_change_x={fmt(round(change, ROOT_DIGITS)) if change is not None else 'none'}",
           file=stdout)
 
 

@@ -5,6 +5,7 @@ factors (Gouy phase, curvature) enter the model.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ class BeamParams:
     p0: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.l0, numbers.Integral) and isinstance(self.p0, numbers.Integral)):
+            raise ValueError(f"beam indices must be integers, got l0={self.l0!r}, p0={self.p0!r}")
         if not 0 < self.waist < math.inf:
             raise ValueError(f"beam waist must be positive and finite, got {self.waist}")
         if abs(self.l0) < 1:

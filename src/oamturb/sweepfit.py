@@ -21,6 +21,9 @@ EXP_FORM_INITIAL = (0.92, 3.50, 1.90, 0.08)
 
 MEASURE_FIELDS = ("concurrence", "coherence", "lqu")
 
+# find_esd and find_sudden_change bisect to width 10^-ROOT_DIGITS.
+ROOT_DIGITS = 9
+
 # Widest grid step over which detect_sudden_change trusts a branch switch.
 SUDDEN_CHANGE_SPACING = 0.05
 
@@ -108,9 +111,10 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     """Smallest x in (x_min, x_max] past which the concurrence is identically zero.
 
     The concurrence falls strictly in b/a, which rises strictly in x, so it
-    crosses zero once at most: one bisection of [x_min, x_max] to width 1e-9
-    (ConvergenceFailure if b/a falls).  Returns reasons "zero at origin" (no
-    entanglement to lose), "zero at x_min" or "no death in range".
+    crosses zero once at most: one bisection of [x_min, x_max] to width
+    10^-ROOT_DIGITS (ConvergenceFailure if b/a falls).  Returns reasons
+    "zero at origin" (no entanglement to lose), "zero at x_min" or
+    "no death in range".
     """
     if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid ESD range [{x_min}, {x_max}]")
@@ -123,20 +127,20 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
         return EsdResult(None, "zero at x_min")
     if alive(hi[1]):
         return EsdResult(None, "no death in range")
-    return EsdResult(_bisect(at, alive, lo, hi, 1e-9, tol))
+    return EsdResult(_bisect(at, alive, lo, hi, 10.0 ** -ROOT_DIGITS, tol))
 
 
 def find_sudden_change(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
                        x_max: float = 3.0, x_min: float = 0.0) -> float | None:
     """x in (x_min, x_max) where the LQU branch switches, or None if both ends
     share one.  The branch switches once at most in b/a, which rises strictly in
-    x: one bisection to width 1e-9, as in find_esd (ConvergenceFailure if b/a falls)."""
+    x: one bisection, as in find_esd (ConvergenceFailure if b/a falls)."""
     if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid sudden-change range [{x_min}, {x_max}]")
     at = lambda x: _row_at(beam, w, x, tol)
     lo, hi = (x_min, at(x_min)), (x_max, at(x_max))
     before = lambda r: r.lqu_branch == lo[1].lqu_branch
-    return None if before(hi[1]) else _bisect(at, before, lo, hi, 1e-9, tol)
+    return None if before(hi[1]) else _bisect(at, before, lo, hi, 10.0 ** -ROOT_DIGITS, tol)
 
 
 def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,

@@ -10,7 +10,8 @@ angular selection rule, to
 with n = 0 for the survival amplitude a and n = 2 l0 for the crosstalk
 amplitude b.  Substituting u = 2 r^2/w0^2 turns the radial measure into the
 normalized weight u^|l0| L_{p0}^{|l0|}(u)^2 e^-u p0!/(p0+|l0|)!, so the result
-depends on (w0/r0, l0, p0) only.
+depends on (w0/r0, l0, p0) only.  The kernel is symmetric under
+theta -> 2pi - theta, so both are real cosine integrals over [0, pi].
 
 Both integrals use one tensor-product Gauss-Legendre rule after the
 substitutions u = u_max s^6 and theta = pi t^3, which turn the u^(5/6) and
@@ -92,7 +93,7 @@ class TurbulenceParams:
 def phase_structure(separation: float, turb: TurbulenceParams) -> float:
     """Kolmogorov phase structure function D_phi = 6.88 (separation/r0)^(5/3);
     inf where that exceeds the float range."""
-    if separation < 0:
+    if not separation >= 0:
         raise ValueError(f"separation must be non-negative, got {separation}")
     if separation == 0.0:
         return 0.0
@@ -104,7 +105,7 @@ def phase_structure(separation: float, turb: TurbulenceParams) -> float:
 
 def fried_parameter(Cn2: float, k: float, L: float) -> float:
     """Fried parameter r0 = (0.423 Cn2 k^2 L)^(-3/5)."""
-    if Cn2 <= 0 or k <= 0 or L <= 0:
+    if not (Cn2 > 0 and k > 0 and L > 0):
         raise ValueError(f"Cn2, k, L must all be positive, got ({Cn2}, {k}, {L})")
     return (0.423 * Cn2 * k * k * L) ** (-3.0 / 5.0)
 
@@ -120,10 +121,13 @@ def r0_from_x(beam: BeamParams, x: float) -> TurbulenceParams:
     """Fried parameter realizing strength x, the inverse of x_ratio.
 
     x = 0 is accepted as the symbolic no-turbulence limit (r0 = inf,
-    handled by channel_ab without quadrature); x < 0 is rejected.
+    handled by channel_ab without quadrature); x < 0, inf and nan are
+    rejected.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"turbulence strength x must be non-negative, got {x}")
+    if x == math.inf:
+        raise ValueError("turbulence strength x must be finite")
     if x == 0.0:
         return TurbulenceParams(math.inf)
     return TurbulenceParams(phase_correlation_length(beam) / x)
@@ -195,59 +199,29 @@ def _rule(n_u: int, n_th: int):
     return rule
 
 
-def _rule_sum(beam: BeamParams, coef, cu_max: float, n_u: int, n_th: int):
-    """One tensor-product Gauss rule for (1/pi) int_0^umax du w(u) int_0^pi dtheta
-    f(theta) exp(-c(u) sin(theta/2)^(5/3)) with f = 1 and f = cos(2 l0 theta),
-    divided by the rule's own radial mass int w, which is 1.
+def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> ChannelCoefficients:
+    """Survival and crosstalk coefficients (a, b) of the turbulence map.
 
-    coef is the per-call vector of the radial table of _rule and cu_max = c(u_max).
-    Returns (a, b, sum of |terms| of b) as floats; a is its own sum of |terms|.
+    err_a and err_b bound |a - a_true| and |b - b_true|, each at most tol.
+    Raises ValueError if tol is not positive, and ConvergenceFailure if the
+    theta ~ 0 peak is too narrow for the rules, if the radial weight
+    overflows the float range, or if the largest rule still misses tol.
     """
-    table, theta, w_theta, exponent = _rule(n_u, n_th)
-    # log of each node's weight w_s du/ds u^|l| e^-u p!/(p+|l|)!, du/ds = 6 umax s^5
-    log_w = table @ coef
-    labs = abs(beam.l0)
-    if beam.p0:
-        # times L_p^|l|(u)^2 at u = umax s^6 (coef[2] = -umax), squared after
-        # the product so that only a weight beyond the float range overflows
-        radial = (np.exp(0.5 * log_w) * laguerre(beam.p0, labs, -coef[2] * table[:, 2])) ** 2
-    else:
-        radial = np.exp(log_w)
-    # the kernel, floored and exponentiated in place: ~1 MB at 256x512
-    kernel = cu_max * exponent
-    np.maximum(kernel, _EXP_FLOOR, out=kernel)
-    np.exp(kernel, out=kernel)
-    # one product against the columns w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
-    # radial, kernel and w are positive, so a is also its own sum of |terms|
-    cos_w = np.cos(2 * labs * theta) * w_theta
-    sums = (radial @ (kernel @ np.array((w_theta, cos_w, np.abs(cos_w))).T)).tolist()
-    # radial >= 0, so a weight beyond the float range leaves the mass inf or nan
-    mass = float(radial.sum())
-    if not math.isfinite(mass):
-        raise ConvergenceFailure(
-            "channel integral: the radial weight overflows the float range at "
-            f"p0={beam.p0} (l0={beam.l0})")
-    return [v / mass for v in sums]
-
-
-def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
-    """Integrals a, b of _rule_sum to absolute tol, with their error estimates
-    err_a, err_b, as four floats.
-
-    Steps through _RULE_SIZES, about sqrt(2) apart, until two successive
-    sizes agree to tol and returns the finer values.  Each error estimate is
-    |fine - coarse|, floored by the round-off of the finer sum.  The coarse
-    rule of a pair must resolve the theta ~ 0 peak.  Raises ConvergenceFailure
-    if the largest rule still misses tol, or if the peak is too narrow for the
-    rules at all.
-    """
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    c_scale = _c_scale(beam, turb)
+    if c_scale == 0.0:
+        # r0 = inf, or turbulence so weak that the kernel exponent underflows
+        return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
+    labs, p0 = abs(beam.l0), beam.p0
     umax = _u_max(beam)
-    cu_max = _c_scale(beam, turb) * umax ** (5.0 / 6.0)
-    labs = abs(beam.l0)
-    # any constant in the log weight cancels against the rule's mass; this one
-    # makes it the unit-mass weight, so it overflows only where that does
+    cu_max = c_scale * umax ** (5.0 / 6.0)
+    # log of each node's weight w_s du/ds u^|l| e^-u p!/(p+|l|)!, du/ds = 6 umax s^5,
+    # as the radial table of _rule times coef.  Any constant in the log weight
+    # cancels against the rule's mass; this one makes it the unit-mass weight,
+    # so it overflows only where that does
     coef = np.array((1.0, labs, -umax, (labs + 1) * math.log(umax)
-                     + math.lgamma(beam.p0 + 1.0) - math.lgamma(beam.p0 + labs + 1.0)))
+                     + math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0)))
     # In t the kernel is about exp(-c (pi/2)^(5/3) t^5), narrowest at u_max,
     # and an n-point Gauss rule on [0, 1] has about 2 n sqrt(t)/pi nodes below t.
     peak = (cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2
@@ -256,38 +230,47 @@ def _channel_integrals(beam: BeamParams, turb: TurbulenceParams, tol: float):
     if len(sizes) < 2:
         raise ConvergenceFailure(
             "channel integral: turbulence too strong to resolve "
-            f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g})")
+            f"(l0={beam.l0}, p0={p0}, x={x_ratio(beam, turb):.6g})")
     coarse = None
-    # the Laguerre recurrence may overflow, which _rule_sum reports
+    # the Laguerre recurrence may overflow, which the mass check reports
     with np.errstate(over="ignore", invalid="ignore"):
         for n_u, n_th in sizes:
-            a, b, abs_b = _rule_sum(beam, coef, cu_max, n_u, n_th)
+            table, theta, w_theta, exponent = _rule(n_u, n_th)
+            log_w = table @ coef
+            if p0:
+                # times L_p^|l|(u)^2 at u = umax s^6, squared after the
+                # product so that only a weight beyond the float range overflows
+                radial = (np.exp(0.5 * log_w) * laguerre(p0, labs, umax * table[:, 2])) ** 2
+            else:
+                radial = np.exp(log_w)
+            # radial >= 0, so a weight beyond the float range leaves the mass inf or nan
+            mass = float(radial.sum())
+            if not math.isfinite(mass):
+                raise ConvergenceFailure(
+                    "channel integral: the radial weight overflows the float range at "
+                    f"p0={p0} (l0={beam.l0})")
+            # the kernel, floored and exponentiated in place: ~1 MB at 256x512
+            kernel = cu_max * exponent
+            np.maximum(kernel, _EXP_FLOOR, out=kernel)
+            np.exp(kernel, out=kernel)
+            # one product against the columns w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
+            # radial, kernel and w are positive, so a is also its own sum of |terms|
+            cos_w = np.cos(2 * labs * theta) * w_theta
+            sums = radial @ (kernel @ np.array((w_theta, cos_w, np.abs(cos_w))).T)
+            del kernel  # so that no two rules' kernels are alive at once
+            a, b, abs_b = [v / mass for v in sums.tolist()]
+            # each error estimate is |fine - coarse|, floored by the round-off of the finer sum
             if coarse is not None:
                 err_a = max(abs(a - coarse[0]), _ROUNDOFF * a + _TAIL_MASS)
                 err_b = max(abs(b - coarse[1]), _ROUNDOFF * abs_b + _TAIL_MASS)
                 if err_a <= tol and err_b <= tol:
-                    return a, b, err_a, err_b
+                    break
             coarse = a, b
-    raise ConvergenceFailure(
-        f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule "
-        f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g}); "
-        f"last error estimate {max(err_a, err_b):.3g}")
-
-
-def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> ChannelCoefficients:
-    """Survival and crosstalk coefficients (a, b) of the turbulence map.
-
-    The angular integral is folded onto [0, pi] (the kernel is symmetric
-    under theta -> 2pi - theta, so both coefficients are real cosine
-    integrals).  err_a and err_b bound |a - a_true| and |b - b_true|, each
-    at most tol; raises ConvergenceFailure when tol cannot be reached.
-    """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if _c_scale(beam, turb) == 0.0:
-        # r0 = inf, or turbulence so weak that the kernel exponent underflows
-        return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
-    a, b, err_a, err_b = _channel_integrals(beam, turb, tol)
+        else:
+            raise ConvergenceFailure(
+                f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule "
+                f"(l0={beam.l0}, p0={p0}, x={x_ratio(beam, turb):.6g}); "
+                f"last error estimate {max(err_a, err_b):.3g}")
     if b < 0.0:
         if b < -NEGATIVE_B_TOL:
             raise ConvergenceFailure(
@@ -295,4 +278,3 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
         b = 0.0
     a = min(a, 1.0)
     return ChannelCoefficients(a, b, err_a, err_b)
-

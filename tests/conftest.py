@@ -182,7 +182,7 @@ def large_x_limit(l0: int, p0: int = 0) -> float:
     density = _radial_density(l0, p0)
     r_max, breaks = _radial_range(l0, p0)
     moment = quad(lambda r: density(r) / r, 0.0, r_max, points=breaks,
-                  epsabs=1e-14, epsrel=0.0, limit=200)[0]
+                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
     return gamma(1.6) * HALF_STRUCTURE ** -0.6 * xi / math.pi * moment
 
 

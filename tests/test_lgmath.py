@@ -141,6 +141,17 @@ class TestBeamParams:
         with pytest.raises(ValueError):
             BeamParams(waist=1.0, l0=1, p0=-1)
 
+    @pytest.mark.parametrize("l0, p0", [(2.0, 0), (1, 0.5), (1.5, 0), (np.float64(1.0), 0)])
+    def test_rejects_non_integral_indices(self, l0, p0):
+        # a half-integer l0 would give a phase correlation length for a beam
+        # that does not exist
+        with pytest.raises(ValueError, match="integers"):
+            BeamParams(waist=1.0, l0=l0, p0=p0)
+
+    def test_accepts_numpy_integers(self):
+        beam = BeamParams(waist=1.0, l0=np.int64(3), p0=np.int32(2))
+        assert (beam.l0, beam.p0) == (3, 2)
+
     @pytest.mark.parametrize("waist", [math.inf, math.nan])
     def test_rejects_non_finite_waist(self, waist):
         # an infinite waist makes xi infinite and r0 = xi/x infinite too, so

@@ -42,8 +42,9 @@ class TestPhaseStructure:
         assert got == pytest.approx(6.88 * 2.0 ** (5.0 / 3.0), rel=1e-14)
 
     def test_rejects_negative_separation(self):
-        with pytest.raises(ValueError):
-            phase_structure(-1.0, TurbulenceParams(1.0))
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                phase_structure(bad, TurbulenceParams(1.0))
 
     def test_overflow_is_infinite(self):
         assert phase_structure(1.0, TurbulenceParams(1e-300)) == math.inf
@@ -69,8 +70,8 @@ class TestFriedParameter:
         assert expected == pytest.approx(0.3124481627977559, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        for bad in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]:
-            with pytest.raises(ValueError):
+        for bad in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0), (math.nan, 1.0, 1.0)]:
+            with pytest.raises(ValueError, match="must all be positive"):
                 fried_parameter(*bad)
 
     def test_from_physical_matches(self):
@@ -96,8 +97,10 @@ class TestXRatio:
         assert x_ratio(beam, turb) == 0.0
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            r0_from_x(BeamParams(), -0.1)
+        for bad, message in ((-0.1, "non-negative"), (math.nan, "non-negative"),
+                             (math.inf, "must be finite")):
+            with pytest.raises(ValueError, match=message):
+                r0_from_x(BeamParams(), bad)
 
 
 class TestChannelAB:
@@ -240,13 +243,11 @@ class TestStrongTurbulence:
         cc = channel_ab(beam, r0_from_x(beam, x), 1e-12)
         assert cc.a * x == pytest.approx(large_x_limit(10), rel=rel)
 
-    @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error:scipy.integrate.IntegrationWarning")
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(l0=st.integers(1, 40), p0=st.integers(0, 3), x=st.sampled_from([100.0, 1000.0]))
     def test_asymptote_for_every_beam(self, l0, p0, x):
         # a x -> const as x^-2 for every beam; the largest gap over l0 <= 40,
-        # p0 <= 3 is 0.081 const/x^2, at l0 = 1, p0 = 3.  quad warns of round-off
-        # in the oracle's moment at l0 = 1, far below this bound
+        # p0 <= 3 is 0.081 const/x^2, at l0 = 1, p0 = 3
         beam = BeamParams(waist=1.0, l0=l0, p0=p0)
         cc = channel_ab(beam, r0_from_x(beam, x), 1e-12)
         limit = large_x_limit(l0, p0)
