@@ -12,50 +12,29 @@ load on first use of one of their names (PEP 562).
 
 import importlib
 
-from .measures import (
-    MeasureTriple,
-    concurrence_analytic,
-    concurrence_x,
-    lqu,
-    measure_triple,
-    rel_entropy_coherence,
-    von_neumann_entropy,
-)
-from .qstate import (
-    ChannelCoefficients,
-    WernerParams,
-    XState,
-    apply_channel,
-    eigenvalues_x,
-    werner_like,
-)
+from . import measures, qstate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeamParams", "ChannelCoefficients", "ConvergenceFailure",
-    "EsdResult", "FitResult", "GridMismatch", "MeasureTriple", "SweepRow",
-    "TurbulenceParams", "WernerParams", "XState",
-    "apply_channel", "channel_ab", "collapse_check", "concurrence_analytic",
-    "concurrence_x", "detect_sudden_change", "eigenvalues_x", "exp_form",
-    "find_esd", "find_sudden_change", "fit_exp_form", "fit_poly_form", "fried_parameter",
-    "laguerre", "lqu", "measure_triple", "phase_correlation_length",
-    "phase_structure", "poly_form", "r0_from_x",
-    "rel_entropy_coherence", "sweep", "von_neumann_entropy", "werner_like",
-    "x_ratio",
-]
-
-# lazily loaded name -> the submodule that defines it; a submodule maps to itself
-_LAZY = {
-    **dict.fromkeys(("lgmath", "BeamParams", "laguerre", "phase_correlation_length"), "lgmath"),
-    **dict.fromkeys(("sweepfit", "EsdResult", "FitResult", "GridMismatch", "SweepRow",
-                     "collapse_check", "detect_sudden_change", "exp_form", "find_esd",
-                     "find_sudden_change", "fit_exp_form", "fit_poly_form", "poly_form",
-                     "sweep"), "sweepfit"),
-    **dict.fromkeys(("turbulence", "ConvergenceFailure", "TurbulenceParams", "channel_ab",
-                     "fried_parameter", "phase_structure", "r0_from_x", "x_ratio"), "turbulence"),
-    "cli": "cli",
+# submodule -> the public names it defines
+_PUBLIC = {
+    "cli": (),
+    "lgmath": ("BeamParams", "laguerre", "phase_correlation_length"),
+    "measures": ("MeasureTriple", "concurrence_analytic", "concurrence_x", "lqu",
+                 "measure_triple", "rel_entropy_coherence", "von_neumann_entropy"),
+    "qstate": ("ChannelCoefficients", "WernerParams", "XState", "apply_channel",
+               "eigenvalues_x", "werner_like"),
+    "sweepfit": ("EsdResult", "FitResult", "GridMismatch", "SweepRow", "collapse_check",
+                 "detect_sudden_change", "exp_form", "find_esd", "find_sudden_change",
+                 "fit_exp_form", "fit_poly_form", "poly_form", "sweep"),
+    "turbulence": ("ConvergenceFailure", "TurbulenceParams", "channel_ab", "fried_parameter",
+                   "phase_structure", "r0_from_x", "x_ratio"),
 }
+
+__all__ = sorted(name for names in _PUBLIC.values() for name in names)
+
+# public name -> the submodule that defines it; a submodule maps to itself
+_LAZY = {name: module for module, names in _PUBLIC.items() for name in (module, *names)}
 
 
 def __getattr__(name):

@@ -47,9 +47,12 @@ class XState:
         # negated comparisons, so that a NaN entry fails them
         if not abs(sum(d) - 1.0) <= _TRACE_TOL:
             raise ValueError(f"X state trace {sum(d)} != 1")
-        if not abs(self.c14) ** 2 <= self.d11 * self.d44 + _POS_TOL:
+        # a block [[p, c], [c*, q]] with p + q >= -2 eps has its smaller
+        # eigenvalue >= -eps exactly when |c|^2 <= p q + eps (p + q + eps)
+        eps = _POS_TOL
+        if not abs(self.c14) ** 2 <= self.d11 * self.d44 + eps * (self.d11 + self.d44 + eps):
             raise ValueError("outer block of X state not positive: |c14|^2 > d11*d44")
-        if not abs(self.c23) ** 2 <= self.d22 * self.d33 + _POS_TOL:
+        if not abs(self.c23) ** 2 <= self.d22 * self.d33 + eps * (self.d22 + self.d33 + eps):
             raise ValueError("inner block of X state not positive: |c23|^2 > d22*d33")
 
 

@@ -31,6 +31,9 @@ SUDDEN_CHANGE_SPACING = 0.05
 _STEP_TOL = 1e-10
 _GRAD_TOL = 1e-12
 
+# lm_least_squares stops, not converged, after this many iterations.
+_MAX_ITER = 500
+
 
 class GridMismatch(ValueError):
     """Sweeps handed to collapse_check do not share the same x grid."""
@@ -70,13 +73,7 @@ def sweep(beam: BeamParams, w: WernerParams, x_grid, tol: float = 1e-9) -> list[
     xs = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("x grid must be sorted ascending")
-    rows = []
-    for x in xs:
-        try:
-            rows.append(_row_at(beam, w, x, tol))
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(f"sweep failed at x = {x}: {exc}") from exc
-    return rows
+    return [_row_at(beam, w, x, tol) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,8 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     "zero at origin" (no entanglement to lose), "zero at x_min" or
     "no death in range".
     """
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid ESD range [{x_min}, {x_max}]")
     if concurrence_analytic(w, ChannelCoefficients(1.0, 0.0)) <= 0.0:
@@ -148,10 +147,13 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
                          refine_to: float = 1e-4) -> float | None:
     """Location where the LQU's maximal-eigenvalue branch index switches.
 
-    rows ascend in x.  With beam and state context the grid midpoint is refined
-    by bisection on the branch index to width refine_to; otherwise the midpoint
-    itself is returned.  None when the branch is constant along the sweep.
+    rows ascend in x.  Given beam and w, the grid midpoint is refined by
+    bisection on the branch index to width refine_to; given neither, the
+    midpoint itself is returned.  None when the branch is constant along the
+    sweep.
     """
+    if (beam is None) != (w is None):
+        raise ValueError("refining a sudden change needs both beam and w")
     if not 0.0 < refine_to < math.inf:
         raise ValueError(f"refine_to must be positive and finite, got {refine_to}")
     steps = [b.x - a.x for a, b in zip(rows, rows[1:])] or [0.0]
@@ -163,7 +165,7 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
     if change is None:
         return None
     lo, hi = rows[change], rows[change + 1]
-    if beam is None or w is None:
+    if beam is None:
         return 0.5 * (lo.x + hi.x)
     return _bisect(lambda x: _row_at(beam, w, x, tol), lambda r: r.lqu_branch == lo.lqu_branch,
                    (lo.x, lo), (hi.x, hi), refine_to, tol)
@@ -247,7 +249,7 @@ def exp_form(x, params):
 
 
 @np.errstate(all="ignore")  # a trial whose rss overflows is rejected, not warned about
-def lm_least_squares(form, x, y, p0, max_iter=500):
+def lm_least_squares(form, x, y, p0):
     """Damped Gauss-Newton (Levenberg-Marquardt) with analytic Jacobian.
 
     form(ax, params) is _poly_eval or _exp_eval: the model at the abscissa
@@ -271,7 +273,7 @@ def lm_least_squares(form, x, y, p0, max_iter=500):
     converged = False
     iterations = 0
     grad = None  # the system at p is built on the first iteration there
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         iterations += 1
         if grad is None:
             J = jac()
@@ -304,7 +306,7 @@ def lm_least_squares(form, x, y, p0, max_iter=500):
     return p, rss, converged, iterations
 
 
-def _fit(form_name, form, rows, column, initial, max_iter):
+def _fit(form_name, form, rows, column, initial):
     xs = np.array([r.x for r in rows])
     ys = np.array([getattr(r, column) for r in rows])
     if len(rows) < 8:
@@ -321,21 +323,19 @@ def _fit(form_name, form, rows, column, initial, max_iter):
         raise ValueError(f"fit requires x >= 0, got x = {xs[n]:g} in row {n + 1}")
     if xs.min() > 1e-12:
         raise ValueError("fit requires an x = 0 row (anchors the form at the origin)")
-    p, rss, converged, iterations = lm_least_squares(form, xs, ys, initial, max_iter=max_iter)
+    p, rss, converged, iterations = lm_least_squares(form, xs, ys, initial)
     return FitResult(form=form_name, params=p, rss=rss,
                      converged=converged, iterations=iterations)
 
 
-def fit_poly_form(rows: list[SweepRow], initial=POLY_FORM_INITIAL,
-                  max_iter: int = 500) -> FitResult:
+def fit_poly_form(rows: list[SweepRow], initial=POLY_FORM_INITIAL) -> FitResult:
     """Fit f(x) = A/(x^p + B) + C to the coherence column."""
-    return _fit("poly_form", _poly_eval, rows, "coherence", initial, max_iter)
+    return _fit("poly_form", _poly_eval, rows, "coherence", initial)
 
 
-def fit_exp_form(rows: list[SweepRow], initial=EXP_FORM_INITIAL,
-                 max_iter: int = 500) -> FitResult:
+def fit_exp_form(rows: list[SweepRow], initial=EXP_FORM_INITIAL) -> FitResult:
     """Fit g(x) = G [exp(-alpha x^beta) + c] to the lqu column."""
-    return _fit("exp_form", _exp_eval, rows, "lqu", initial, max_iter)
+    return _fit("exp_form", _exp_eval, rows, "lqu", initial)
 
 
 def collapse_check(curves: list[list[SweepRow]], measure: str = "coherence") -> float:

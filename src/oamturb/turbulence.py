@@ -95,8 +95,6 @@ def phase_structure(separation: float, turb: TurbulenceParams) -> float:
     inf where that exceeds the float range."""
     if not separation >= 0:
         raise ValueError(f"separation must be non-negative, got {separation}")
-    if separation == 0.0:
-        return 0.0
     try:
         return STRUCTURE_CONSTANT * (separation / turb.fried_r0) ** (5.0 / 3.0)
     except OverflowError:
@@ -104,16 +102,33 @@ def phase_structure(separation: float, turb: TurbulenceParams) -> float:
 
 
 def fried_parameter(Cn2: float, k: float, L: float) -> float:
-    """Fried parameter r0 = (0.423 Cn2 k^2 L)^(-3/5)."""
+    """Fried parameter r0 = (0.423 Cn2 k^2 L)^(-3/5); inf, the no-turbulence
+    limit, where r0 exceeds the float range."""
     if not (Cn2 > 0 and k > 0 and L > 0):
         raise ValueError(f"Cn2, k, L must all be positive, got ({Cn2}, {k}, {L})")
-    return (0.423 * Cn2 * k * k * L) ** (-3.0 / 5.0)
+    if math.inf in (Cn2, k, L):
+        raise ValueError(f"Cn2, k, L must all be finite, got ({Cn2}, {k}, {L})")
+    # 0.423 Cn2 k^2 L term by term, as long as no partial product leaves the
+    # normal float range, where it would lose digits or its whole value
+    base = 0.423
+    for factor in (Cn2, k, k, L):
+        base *= factor
+        if not sys.float_info.min <= base < math.inf:
+            break
+    else:
+        return base ** (-3.0 / 5.0)
+    try:
+        r0 = math.exp(-0.6 * (math.log(0.423) + math.log(Cn2) + 2.0 * math.log(k) + math.log(L)))
+    except OverflowError:
+        return math.inf
+    if r0 == 0.0:
+        raise ValueError(
+            f"Cn2, k, L = ({Cn2}, {k}, {L}) give a Fried parameter below the float range")
+    return r0
 
 
 def x_ratio(beam: BeamParams, turb: TurbulenceParams) -> float:
     """Dimensionless turbulence strength x = xi(l0)/r0."""
-    if math.isinf(turb.fried_r0):
-        return 0.0
     return phase_correlation_length(beam) / turb.fried_r0
 
 
@@ -131,6 +146,11 @@ def r0_from_x(beam: BeamParams, x: float) -> TurbulenceParams:
     if x == 0.0:
         return TurbulenceParams(math.inf)
     return TurbulenceParams(phase_correlation_length(beam) / x)
+
+
+def _where(beam: BeamParams, turb: TurbulenceParams) -> str:
+    # the context that ends every channel_ab failure message
+    return f"(l0={beam.l0}, p0={beam.p0}, x={x_ratio(beam, turb):.6g})"
 
 
 def _c_scale(beam: BeamParams, turb: TurbulenceParams) -> float:
@@ -229,8 +249,7 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
              if 2.0 * size[1] * math.sqrt(peak) / math.pi >= _PEAK_NODES]
     if len(sizes) < 2:
         raise ConvergenceFailure(
-            "channel integral: turbulence too strong to resolve "
-            f"(l0={beam.l0}, p0={p0}, x={x_ratio(beam, turb):.6g})")
+            f"channel integral: turbulence too strong to resolve {_where(beam, turb)}")
     coarse = None
     # the Laguerre recurrence may overflow, which the mass check reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,9 +265,8 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
             # radial >= 0, so a weight beyond the float range leaves the mass inf or nan
             mass = float(radial.sum())
             if not math.isfinite(mass):
-                raise ConvergenceFailure(
-                    "channel integral: the radial weight overflows the float range at "
-                    f"p0={p0} (l0={beam.l0})")
+                raise ConvergenceFailure("channel integral: the radial weight overflows "
+                                         f"the float range {_where(beam, turb)}")
             # the kernel, floored and exponentiated in place: ~1 MB at 256x512
             kernel = cu_max * exponent
             np.maximum(kernel, _EXP_FLOOR, out=kernel)
@@ -268,13 +286,12 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
             coarse = a, b
         else:
             raise ConvergenceFailure(
-                f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule "
-                f"(l0={beam.l0}, p0={p0}, x={x_ratio(beam, turb):.6g}); "
-                f"last error estimate {max(err_a, err_b):.3g}")
+                f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule; "
+                f"last error estimate {max(err_a, err_b):.3g} {_where(beam, turb)}")
     if b < 0.0:
         if b < -NEGATIVE_B_TOL:
-            raise ConvergenceFailure(
-                f"crosstalk coefficient b = {b} is negative beyond quadrature noise")
+            raise ConvergenceFailure(f"crosstalk coefficient b = {b} is negative beyond "
+                                     f"quadrature noise {_where(beam, turb)}")
         b = 0.0
     a = min(a, 1.0)
     return ChannelCoefficients(a, b, err_a, err_b)

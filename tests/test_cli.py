@@ -120,6 +120,19 @@ class TestChannelCommand:
         rep = parse_report(out)
         assert float(rep["r0"]) == pytest.approx(0.3124481627977559, rel=1e-11)
 
+    def test_physical_spec_past_the_float_range(self, capsys):
+        # 0.423 Cn2 k^2 L underflows, r0 ~ 1.7e198 does not: no turbulence to speak of
+        code, out, err = run_cli(
+            ["channel", "--cn2", "1e-300", "--k", "1e-10", "--path-length", "1e-10"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rep = parse_report(out)
+        assert (rep["a"], rep["b"], rep["r0"]) == ("1", "0", "1.67569810904e+198")
+        # the product overflows, r0 ~ 1.7e-198 does not: far too strong to resolve
+        code, out, err = run_cli(
+            ["channel", "--cn2", "1e300", "--k", "1e10", "--path-length", "1e10"], capsys)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("numerical failure: channel integral: turbulence too strong")
+
 
 class TestMeasuresCommand:
     def test_bell_origin(self, capsys):

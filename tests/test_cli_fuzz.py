@@ -56,6 +56,10 @@ def render(config, fixture):
        flags=st.lists(setting(), max_size=6), config=CONFIG)
 @example(command="channel", flags=[("r0", "1e300")], config=None)
 @example(command="channel", flags=[("x", "1e-200")], config=None)
+@example(command="channel", flags=[("cn2", "1e-300"), ("k", "1e-300"), ("path_length", "1e-300")],
+         config=None)
+@example(command="channel", flags=[("cn2", "1e300"), ("k", "1e300"), ("path_length", "1e300")],
+         config=None)
 @example(command="channel", flags=[("x", "--")], config=None)
 @example(command="fit", flags=[("form", "poly"), ("input", "@"), ("initial", "1,1,-1,1")], config=None)
 @example(command="measures", flags=[("x", "0.5")], config=[("run", "out", "100%.csv")])

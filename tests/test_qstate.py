@@ -194,6 +194,18 @@ class TestXStateValidation:
         with pytest.raises(ValueError):
             XState(0.25, 0.25, 0.25, 0.25, c23=0.5)
 
+    @pytest.mark.parametrize("block", ["outer", "inner"])
+    def test_positivity_tolerance_is_on_the_eigenvalue(self, block):
+        # |c|^2 - p q is a squared quantity: |c| = 1e-6 on an empty block
+        # passes |c|^2 <= p q + 1e-12, but gives the eigenvalue -1e-6
+        def state(c):
+            return XState(0.5, 0.0, 0.0, 0.5, c23=c) if block == "inner" else \
+                XState(0.0, 0.5, 0.5, 0.0, c14=c)
+        with pytest.raises(ValueError, match=f"{block} block of X state not positive"):
+            state(1e-6)
+        s = state(0.9e-12)  # eigenvalue -0.9e-12, within the tolerance
+        assert min(eigenvalues_x(s)) == 0.0
+
     @pytest.mark.parametrize("entries", [
         (math.nan, 0.5, 0.5, 0.0),
         (0.0, 0.5, 0.5, 0.0, 0j, complex(math.nan, 0.0)),

@@ -60,6 +60,12 @@ class TestSweep:
         rows = sweep(BEAM1, BELL, grid, tol=1e-8)
         assert [r.x for r in rows] == grid
 
+    def test_failure_names_x_once(self):
+        with pytest.raises(ConvergenceFailure) as info:
+            sweep(BEAM1, BELL, [0.0, 1e200])
+        assert str(info.value) == ("channel integral: turbulence too strong to resolve "
+                                   "(l0=1, p0=0, x=1e+200)")
+
     def test_rejects_unsorted_or_negative(self):
         with pytest.raises(ValueError):
             sweep(BEAM1, BELL, [0.5, 0.2])
@@ -98,6 +104,12 @@ class TestFindEsd:
         res = find_esd(BEAM1, WernerParams(0.2, math.pi / 2), tol=1e-8)
         assert res.x_star is None
         assert res.reason == "zero at origin"
+
+    @pytest.mark.parametrize("w", [BELL, WernerParams(0.2, math.pi / 2)], ids=["bell", "separable"])
+    def test_rejects_bad_tolerance_before_any_shortcut(self, w):
+        # the separable state takes the "zero at origin" shortcut, which makes no channel call
+        with pytest.raises(ValueError, match="tolerance must be positive, got -1"):
+            find_esd(BEAM1, w, tol=-1)
 
     def test_no_death_in_short_range(self):
         res = find_esd(BEAM1, BELL, tol=1e-8, x_max=0.2)
@@ -216,6 +228,14 @@ class TestDetectSuddenChange:
         refined = detect_sudden_change(rows, BEAM1, w, tol=1e-9)
         assert refined == pytest.approx(0.134837, abs=2e-4)
 
+    @pytest.mark.parametrize("given", ["beam", "w"])
+    def test_rejects_half_the_refinement_context(self, given):
+        w = WernerParams(1.0, math.pi / 3)
+        rows = sweep(BEAM1, w, np.linspace(0.0, 1.0, 21), tol=1e-9)
+        context = {"beam": BEAM1} if given == "beam" else {"w": w}
+        with pytest.raises(ValueError, match="needs both beam and w"):
+            detect_sudden_change(rows, **context)
+
     def test_bell_has_no_change(self):
         rows = sweep(BEAM1, BELL, np.linspace(0.0, 1.0, 21), tol=1e-9)
         assert detect_sudden_change(rows) is None
@@ -322,8 +342,9 @@ class TestFits:
                 assert res.converged
                 assert np.abs(res.params - np.array(truth)).max() < 1e-6
 
-    def test_iteration_budget_marks_nonconvergence(self):
-        res = fit_poly_form(synthetic_rows(), initial=(0.5, 2.0, 0.5, 0.3), max_iter=1)
+    def test_iteration_budget_marks_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(sweepfit, "_MAX_ITER", 1)
+        res = fit_poly_form(synthetic_rows(), initial=(0.5, 2.0, 0.5, 0.3))
         assert not res.converged
         assert res.iterations == 1
 
@@ -531,6 +552,9 @@ class TestCollapseCheck:
     def test_identical_curves_give_zero(self):
         rows = synthetic_rows()
         assert collapse_check([rows, rows]) == 0.0
+
+    def test_one_sweep_gives_zero(self):
+        assert collapse_check([synthetic_rows()]) == 0.0
 
     def test_detects_deviation(self):
         rows = synthetic_rows()

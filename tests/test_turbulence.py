@@ -78,6 +78,34 @@ class TestFriedParameter:
         tp = TurbulenceParams.from_physical(1e-15, 4e6, 1000.0)
         assert tp.fried_r0 == fried_parameter(1e-15, 4e6, 1000.0)
 
+    @pytest.mark.parametrize("bad", [(math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                     (1.0, 1.0, math.inf)])
+    def test_rejects_infinite(self, bad):
+        with pytest.raises(ValueError, match="must all be finite"):
+            fried_parameter(*bad)
+
+    @pytest.mark.parametrize("spec", [(1e-300, 1e-10, 1e-10), (1e300, 1e10, 1e10),
+                                      (1e-300, 1e-11, 1e30)],
+                             ids=["underflow", "overflow", "subnormal_partial_product"])
+    def test_product_beyond_the_float_range(self, spec):
+        # 0.423 Cn2 k^2 L, or a partial product of it, leaves the normal float
+        # range, r0 does not; r0 scales as Cn2^(-3/5)
+        cn2, k, L = spec
+        scale = 1e-100 if cn2 > 1.0 else 1e100
+        expected = fried_parameter(cn2 * scale, k, L) * scale ** 0.6
+        assert fried_parameter(cn2, k, L) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_r0_beyond_the_float_range_is_no_turbulence(self):
+        # log r0 = 1658 overflows exp: the no-turbulence limit, as r0 = inf
+        assert fried_parameter(1e-300, 1e-300, 1e-300) == math.inf
+        beam = BeamParams(waist=1.0, l0=1)
+        cc = channel_ab(beam, TurbulenceParams.from_physical(1e-300, 1e-10, 1e-10))
+        assert (cc.a, cc.b, cc.err_a, cc.err_b) == (1.0, 0.0, 0.0, 0.0)
+
+    def test_r0_below_the_float_range_raises(self):
+        with pytest.raises(ValueError, match=r"\(1e\+300, 1e\+300, 1e\+300\) give a Fried"):
+            fried_parameter(1e300, 1e300, 1e300)
+
 
 class TestXRatio:
     def test_round_trip(self):
@@ -219,6 +247,14 @@ class TestChannelAB:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             channel_ab(BeamParams(), TurbulenceParams(1.0), 0.0)
+
+    @pytest.mark.parametrize("p0, x, tol", [(0, 1e200, 1e-9), (400, 1.0, 1e-9), (0, 1.0, 1e-17)],
+                             ids=["too_strong", "radial_overflow", "tol_not_reached"])
+    def test_every_failure_names_the_point(self, p0, x, tol):
+        beam = BeamParams(waist=1.0, l0=1, p0=p0)
+        with pytest.raises(ConvergenceFailure) as info:
+            channel_ab(beam, r0_from_x(beam, x), tol)
+        assert str(info.value).endswith(f"(l0=1, p0={p0}, x={x:.6g})")
 
 
 class TestStrongTurbulence:
