@@ -46,6 +46,11 @@ def laguerre(p: int, alpha: int, x):
         raise ValueError(f"order alpha must be non-negative, got {alpha}")
     if not np.isfinite(x).all():
         raise ValueError(f"argument must be finite, got {x}")
+    return _laguerre(p, alpha, x)
+
+
+def _laguerre(p: int, alpha: int, x):
+    # the recurrence of laguerre, for inputs already known to be valid
     if p == 0:
         return 1.0 + 0.0 * x  # 1, shaped like x
     lm1 = 1.0

@@ -13,7 +13,7 @@ import numpy as np
 from .lgmath import BeamParams
 from .measures import concurrence_analytic, measure_triple
 from .qstate import ChannelCoefficients, WernerParams, apply_channel, werner_like
-from .turbulence import ConvergenceFailure, channel_ab, r0_from_x
+from .turbulence import ConvergenceFailure, _BeamRules, channel_ab, r0_from_x
 
 # Default initial guesses: the published fitted constants of each form.
 POLY_FORM_INITIAL = (0.183, 3.78, 0.21, 0.131)
@@ -61,8 +61,9 @@ class FitResult:
     iterations: int
 
 
-def _row_at(beam: BeamParams, w: WernerParams, x: float, tol: float) -> SweepRow:
-    cc = channel_ab(beam, r0_from_x(beam, x), tol)
+def _row_at(beam: BeamParams, w: WernerParams, x: float, tol: float,
+            rules: _BeamRules) -> SweepRow:
+    cc = channel_ab(beam, r0_from_x(beam, x), tol, rules=rules)
     m = measure_triple(apply_channel(werner_like(w), cc))
     return SweepRow(x=x, a=cc.a, b=cc.b, concurrence=m.concurrence,
                     coherence=m.coherence_rel_ent, lqu=m.lqu, lqu_branch=m.lqu_branch)
@@ -73,7 +74,8 @@ def sweep(beam: BeamParams, w: WernerParams, x_grid, tol: float = 1e-9) -> list[
     xs = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("x grid must be sorted ascending")
-    return [_row_at(beam, w, x, tol) for x in xs]
+    rules = _BeamRules(beam)
+    return [_row_at(beam, w, x, tol, rules) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,8 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
         raise ValueError(f"invalid ESD range [{x_min}, {x_max}]")
     if concurrence_analytic(w, ChannelCoefficients(1.0, 0.0)) <= 0.0:
         return EsdResult(None, "zero at origin")
-    at = lambda x: channel_ab(beam, r0_from_x(beam, x), tol)
+    rules = _BeamRules(beam)
+    at = lambda x: channel_ab(beam, r0_from_x(beam, x), tol, rules=rules)
     alive = lambda cc: concurrence_analytic(w, cc) > 0.0
     lo, hi = (x_min, at(x_min)), (x_max, at(x_max))
     if not alive(lo[1]):
@@ -136,7 +139,8 @@ def find_sudden_change(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     x: one bisection, as in find_esd (ConvergenceFailure if b/a falls)."""
     if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid sudden-change range [{x_min}, {x_max}]")
-    at = lambda x: _row_at(beam, w, x, tol)
+    rules = _BeamRules(beam)
+    at = lambda x: _row_at(beam, w, x, tol, rules)
     lo, hi = (x_min, at(x_min)), (x_max, at(x_max))
     before = lambda r: r.lqu_branch == lo[1].lqu_branch
     return None if before(hi[1]) else _bisect(at, before, lo, hi, 10.0 ** -ROOT_DIGITS, tol)
@@ -167,8 +171,9 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
     lo, hi = rows[change], rows[change + 1]
     if beam is None:
         return 0.5 * (lo.x + hi.x)
-    return _bisect(lambda x: _row_at(beam, w, x, tol), lambda r: r.lqu_branch == lo.lqu_branch,
-                   (lo.x, lo), (hi.x, hi), refine_to, tol)
+    rules = _BeamRules(beam)
+    return _bisect(lambda x: _row_at(beam, w, x, tol, rules),
+                   lambda r: r.lqu_branch == lo.lqu_branch, (lo.x, lo), (hi.x, hi), refine_to, tol)
 
 
 # --- model forms: values and a Jacobian from one masked power per trial ---

@@ -16,9 +16,13 @@ theta -> 2pi - theta, so both are real cosine integrals over [0, pi].
 Both integrals use one tensor-product Gauss-Legendre rule after the
 substitutions u = u_max s^6 and theta = pi t^3, which turn the u^(5/6) and
 sin(theta/2)^(5/3) endpoint singularities into smooth powers s^5 and t^5.
-Each rule divides its sums by its own quadrature of the radial weight, whose
-exact mass is 1.  The rule size grows by about sqrt(2) per step until two
-successive sizes agree to the tolerance.
+The radial nodes fill s in [s_lo, 1], u in [u_lo, u_max], where the weight
+holds all but 1e-16 of its mass at each end, and the theta columns where
+the kernel is below 1e-16 at every node are left out.  Each rule divides its
+sums by its own quadrature of the radial weight, whose exact mass is 1.  The
+rule size grows by about sqrt(2) per step until two successive sizes agree
+to the tolerance.  What a rule needs of the beam alone is built once per
+beam, by _BeamRules, and shared by the calls of a sweep or root search.
 """
 
 import math
@@ -27,13 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lgmath import BeamParams, laguerre, phase_correlation_length
+from .lgmath import BeamParams, _laguerre, phase_correlation_length
 from .qstate import ChannelCoefficients
 
 # Kolmogorov phase structure function constant: D = 6.88 (d/r0)^(5/3)
 STRUCTURE_CONSTANT = 6.88
 
-# Relative mass allowed beyond the radial truncation point.
+# Relative mass allowed beyond each radial cut, and kernel allowed in each
+# left-out theta column.
 _TAIL_MASS = 1e-16
 
 # b values in (-NEGATIVE_B_TOL, 0) are quadrature noise and clamp to zero.
@@ -174,6 +179,15 @@ def _u_max(beam: BeamParams) -> float:
     return k * t
 
 
+def _u_lo(beam: BeamParams) -> float:
+    # cut the radial head where the weight mass below the cut is _TAIL_MASS.
+    # Szego's bound |L_p^l(u)| <= C e^(u/2), C = (p+|l|)!/(p! |l|!), caps the
+    # weight at C u^|l|/|l|!, whose mass below a is C a^(|l|+1)/(|l|+1)!
+    labs = abs(beam.l0)
+    return math.exp((math.log(_TAIL_MASS) + math.lgamma(labs + 2.0)
+                     - math.log(math.comb(labs + beam.p0, beam.p0))) / (labs + 1))
+
+
 def _legendre(n: int, x):
     """P_n(x) and P_n'(x) by the three-term recurrence."""
     p_prev, p = np.ones_like(x), x
@@ -202,27 +216,72 @@ def _gauss01(n: int):
 
 
 def _rule(n_u: int, n_th: int):
-    """The input-free tables of the (n_u, n_th) rule in s and t, u = u_max s^6
-    and theta = pi t^3: the (n_u, 4) radial table (log(6 w_s s^5), log s^6,
-    s^6, 1), whose product with (1, |l0|, -u_max, shift) is the log radial
-    weight; the theta nodes and weights (over pi); and the kernel exponent
-    over c(u_max), s^5 (-sin(theta/2)^(5/3)), since c(u) = c(u_max) s^5."""
+    """The input-free tables of the (n_u, n_th) rule: the radial Gauss nodes
+    sigma on [0, 1] and the logs of their weights; the theta = pi t^3 nodes,
+    their weights (over pi) and -sin(theta/2)^(5/3), the kernel exponent over
+    c(u).  The Gauss nodes descend, so theta does and that exponent ascends."""
     rule = _RULES.get((n_u, n_th))
     if rule is None:
-        s, ws = _gauss01(n_u)
+        sigma, w_sigma = _gauss01(n_u)
         t, wt = _gauss01(n_th)
-        s6, theta = s ** 6, math.pi * t ** 3
+        theta = math.pi * t ** 3
         rule = _RULES[n_u, n_th] = (
-            np.column_stack((np.log(ws * 6.0 * s ** 5), np.log(s6), s6, np.ones(n_u))),
+            sigma, np.log(w_sigma),
             theta, wt * 3.0 * t ** 2,  # dtheta/dt = 3 pi t^2, over pi
-            np.outer(s ** 5, -np.sin(0.5 * theta) ** (5.0 / 3.0)))
+            -np.sin(0.5 * theta) ** (5.0 / 3.0))
     return rule
 
 
-def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> ChannelCoefficients:
+class _BeamRules:
+    """The tables of each ladder step that depend on the beam only, filled on
+    first use: one per beam serves every channel_ab call at that beam."""
+
+    def __init__(self, beam: BeamParams):
+        labs, p0 = abs(beam.l0), beam.p0
+        self.labs, self.p0 = labs, p0
+        self.umax = umax = _u_max(beam)
+        # the radial nodes fill s = s_lo + (1 - s_lo) sigma, u = umax s^6 in [u_lo, umax]
+        self.s_lo = (_u_lo(beam) / umax) ** (1.0 / 6.0)
+        # log of w_sigma du/dsigma u^|l| e^-u p!/(p+|l|)! is log w_sigma + (6|l| + 5) log s
+        # - u + this, du/dsigma = 6 umax s^5 (1 - s_lo).  Any constant in the log weight
+        # cancels against the rule's mass; this one makes it the unit-mass weight, so
+        # it overflows only where that does
+        self.log_scale = (math.log(6.0 * (1.0 - self.s_lo)) + (labs + 1) * math.log(umax)
+                          + math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0))
+        self._steps = {}
+
+    def step(self, n_u: int, n_th: int):
+        """The radial weight of the (n_u, n_th) rule and its mass (inf or nan
+        if the weight leaves the float range); s^5 = c(u)/c(u_max) at each
+        radial node and -sin(theta/2)^(5/3) at each theta node, whose outer
+        product times c(u_max) is the kernel exponent; and the angular rows w,
+        cos(2 l0 theta) w and |cos(2 l0 theta) w|."""
+        tables = self._steps.get((n_u, n_th))
+        if tables is None:
+            sigma, log_w_sigma, theta, w_theta, sin53 = _rule(n_u, n_th)
+            s = self.s_lo + (1.0 - self.s_lo) * sigma
+            s5 = s ** 5
+            u = self.umax * s5 * s
+            log_w = log_w_sigma + (6 * self.labs + 5) * np.log(s) - u + self.log_scale
+            if self.p0:
+                # times L_p^|l|(u)^2, squared after the product so that only a
+                # weight beyond the float range overflows
+                radial = (np.exp(0.5 * log_w) * _laguerre(self.p0, self.labs, u)) ** 2
+            else:
+                radial = np.exp(log_w)
+            cos_w = np.cos(2 * self.labs * theta) * w_theta
+            tables = self._steps[n_u, n_th] = (
+                radial, float(radial.sum()), s5, sin53, np.array((w_theta, cos_w, np.abs(cos_w))))
+        return tables
+
+
+def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
+               rules: _BeamRules | None = None) -> ChannelCoefficients:
     """Survival and crosstalk coefficients (a, b) of the turbulence map.
 
     err_a and err_b bound |a - a_true| and |b - b_true|, each at most tol.
+    rules, private, carries the beam's tables from earlier calls at the same
+    beam; without it they are built for this call.
     Raises ValueError if tol is not positive, and ConvergenceFailure if the
     theta ~ 0 peak is too narrow for the rules, if the radial weight
     overflows the float range, or if the largest rule still misses tol.
@@ -233,15 +292,9 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
     if c_scale == 0.0:
         # r0 = inf, or turbulence so weak that the kernel exponent underflows
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
-    labs, p0 = abs(beam.l0), beam.p0
-    umax = _u_max(beam)
-    cu_max = c_scale * umax ** (5.0 / 6.0)
-    # log of each node's weight w_s du/ds u^|l| e^-u p!/(p+|l|)!, du/ds = 6 umax s^5,
-    # as the radial table of _rule times coef.  Any constant in the log weight
-    # cancels against the rule's mass; this one makes it the unit-mass weight,
-    # so it overflows only where that does
-    coef = np.array((1.0, labs, -umax, (labs + 1) * math.log(umax)
-                     + math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0)))
+    if rules is None:
+        rules = _BeamRules(beam)
+    cu_max = c_scale * rules.umax ** (5.0 / 6.0)
     # In t the kernel is about exp(-c (pi/2)^(5/3) t^5), narrowest at u_max,
     # and an n-point Gauss rule on [0, 1] has about 2 n sqrt(t)/pi nodes below t.
     peak = (cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2
@@ -250,37 +303,34 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
     if len(sizes) < 2:
         raise ConvergenceFailure(
             f"channel integral: turbulence too strong to resolve {_where(beam, turb)}")
+    # the kernel falls in theta and in u: a column left out is below _TAIL_MASS
+    # wherever it is at the widest node, so it moves each sum by less than that
+    cut = math.log(_TAIL_MASS) / cu_max
     coarse = None
     # the Laguerre recurrence may overflow, which the mass check reports
     with np.errstate(over="ignore", invalid="ignore"):
         for n_u, n_th in sizes:
-            table, theta, w_theta, exponent = _rule(n_u, n_th)
-            log_w = table @ coef
-            if p0:
-                # times L_p^|l|(u)^2 at u = umax s^6, squared after the
-                # product so that only a weight beyond the float range overflows
-                radial = (np.exp(0.5 * log_w) * laguerre(p0, labs, umax * table[:, 2])) ** 2
-            else:
-                radial = np.exp(log_w)
+            radial, mass, s5, sin53, rows = rules.step(n_u, n_th)
             # radial >= 0, so a weight beyond the float range leaves the mass inf or nan
-            mass = float(radial.sum())
             if not math.isfinite(mass):
                 raise ConvergenceFailure("channel integral: the radial weight overflows "
                                          f"the float range {_where(beam, turb)}")
+            # the widest node is the last, as the Gauss nodes descend
+            first = sin53.searchsorted(cut / s5[-1])
             # the kernel, floored and exponentiated in place: ~1 MB at 256x512
-            kernel = cu_max * exponent
+            kernel = np.multiply.outer(cu_max * s5, sin53[first:])
             np.maximum(kernel, _EXP_FLOOR, out=kernel)
             np.exp(kernel, out=kernel)
-            # one product against the columns w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
+            # the radial sum first, then the rows w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
             # radial, kernel and w are positive, so a is also its own sum of |terms|
-            cos_w = np.cos(2 * labs * theta) * w_theta
-            sums = radial @ (kernel @ np.array((w_theta, cos_w, np.abs(cos_w))).T)
+            sums = rows[:, first:] @ (radial @ kernel)
             del kernel  # so that no two rules' kernels are alive at once
             a, b, abs_b = [v / mass for v in sums.tolist()]
-            # each error estimate is |fine - coarse|, floored by the round-off of the finer sum
+            # each error estimate is |fine - coarse|, floored by the round-off of the
+            # finer sum and the three cut tails, two radial and one angular
             if coarse is not None:
-                err_a = max(abs(a - coarse[0]), _ROUNDOFF * a + _TAIL_MASS)
-                err_b = max(abs(b - coarse[1]), _ROUNDOFF * abs_b + _TAIL_MASS)
+                err_a = max(abs(a - coarse[0]), _ROUNDOFF * a + 3.0 * _TAIL_MASS)
+                err_b = max(abs(b - coarse[1]), _ROUNDOFF * abs_b + 3.0 * _TAIL_MASS)
                 if err_a <= tol and err_b <= tol:
                     break
             coarse = a, b

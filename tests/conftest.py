@@ -36,8 +36,8 @@ def ratio_dip(monkeypatch):
     [0, 3] probes x = 1.5 (dead, real b/a) and then x = 0.75 (b/a = 1)."""
     real = sweepfit.channel_ab
 
-    def channel_ab(beam, turb, tol=1e-9):
-        cc = real(beam, turb, tol)
+    def channel_ab(beam, turb, tol=1e-9, **kw):
+        cc = real(beam, turb, tol, **kw)
         return ChannelCoefficients(cc.a, cc.a) if 0.5 <= x_ratio(beam, turb) <= 1.0 else cc
 
     monkeypatch.setattr(sweepfit, "channel_ab", channel_ab)

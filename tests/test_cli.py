@@ -433,7 +433,7 @@ class TestEsdCommand:
             change_calls[kwargs["x_max"]] = len(calls) - start
             return x
 
-        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a: calls.append(a) or real_channel(*a))
+        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a, **kw: calls.append(a) or real_channel(*a, **kw))
         monkeypatch.setattr(cli, "find_sudden_change", counted_change)
         total = {}
         for x_max in ("3", "100", "1000"):

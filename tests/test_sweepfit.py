@@ -140,7 +140,7 @@ class TestFindEsd:
     def test_one_bisection_of_the_range(self, monkeypatch):
         calls = []
         real = sweepfit.channel_ab
-        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a, **kw: calls.append(a) or real(*a, **kw))
         res = find_esd(BEAM1, BELL, tol=1e-9)
         # both ends, then log2(3 / 1e-9) < 32 halvings
         assert len(calls) <= 34
@@ -163,8 +163,8 @@ class TestFindEsd:
         # so b/a jitters by ~tol/a between probes, yet each b stays within tol
         real, calls = sweepfit.channel_ab, []
 
-        def jittered(beam, turb, tol):
-            cc = real(beam, turb, tol)
+        def jittered(beam, turb, tol, **kw):
+            cc = real(beam, turb, tol, **kw)
             calls.append(cc)
             b = cc.b + (tol - cc.err_b) * (len(calls) % 2)
             return ChannelCoefficients(cc.a, b, cc.err_a, tol)
@@ -198,7 +198,7 @@ class TestFindSuddenChange:
     def test_one_bisection_of_the_range(self, monkeypatch, x_max):
         calls = []
         real = sweepfit.channel_ab
-        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(sweepfit, "channel_ab", lambda *a, **kw: calls.append(a) or real(*a, **kw))
         x = find_sudden_change(BEAM1, self.THIRD, tol=1e-9, x_max=x_max)
         assert len(calls) <= 2 + math.ceil(math.log2(x_max / 1e-9))
         assert x == pytest.approx(0.134837, abs=1e-6)

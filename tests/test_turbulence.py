@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln
@@ -21,6 +21,7 @@ from oamturb.turbulence import (
     ChannelCoefficients,
     ConvergenceFailure,
     TurbulenceParams,
+    _u_lo,
     _u_max,
     channel_ab,
     fried_parameter,
@@ -315,6 +316,30 @@ def test_radial_cut_tail_mass(l0, p0):
     assert tail <= _TAIL_MASS
 
 
+@pytest.mark.parametrize("p0", [0, 1, 2, 5])
+@pytest.mark.parametrize("l0", [1, 10, 40])
+def test_radial_lower_cut_mass(l0, p0):
+    # mass of the normalized radial weight below the lower cut, which Szego's
+    # bound on L_p^l sets; at l0 = 1 the bound is tight to 1e-8 relative
+    ulo = _u_lo(BeamParams(waist=1.0, l0=l0, p0=p0))
+    log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
+    head, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
+                     * eval_genlaguerre(p0, l0, u) ** 2,
+                     0.0, ulo, epsabs=0.0, epsrel=1e-8)
+    assert err <= 1e-6 * head
+    assert head <= _TAIL_MASS
+
+
+@pytest.mark.parametrize("p0, message", [(284, "did not reach tol=1e-09 with a 256x512 rule"),
+                                         (285, "the radial weight overflows the float range")])
+def test_first_radial_index_that_overflows(p0, message):
+    # the radial weight leaves the float range from p0 = 285 on at l0 = 1, x = 1,
+    # wherever the rule places its nodes in [u_lo, u_max]
+    beam = BeamParams(waist=1.0, l0=1, p0=p0)
+    with pytest.raises(ConvergenceFailure, match=message):
+        channel_ab(beam, r0_from_x(beam, 1.0), 1e-9)
+
+
 @pytest.mark.parametrize("x", [1e-7, 1e-6, 1e-5])
 @pytest.mark.parametrize("l0", [1, 10, 20, 40, 60, 97])
 def test_small_x_series(l0, x):
@@ -350,11 +375,26 @@ def test_error_bars_are_honest(l0, p0, x, tol):
     assert abs(cc.b - ora_b) <= cc.err_b + 1e-13
 
 
-@pytest.mark.parametrize("l0, p0, x, tol", [(97, 2, 0.00307, 1e-12), (93, 8, 0.01435, 1e-11)])
+@pytest.mark.parametrize("l0, p0, x, tol", [(97, 2, 0.00307, 1e-12), (93, 8, 0.01435, 1e-11),
+                                            (40, 3, 30.0, 1e-6), (61, 5, 10.0, 1e-6),
+                                            (97, 5, 30.0, 1e-6), (97, 5, 100.0, 1e-6),
+                                            (97, 8, 100.0, 1e-6)])
 def test_error_bars_are_honest_at_high_l0(l0, p0, x, tol):
-    # the 128x256 and 256x512 rules differ here by more than tol; the pair
-    # (181x362, 256x512) agrees, and nested quad confirms its error bars
+    # in the first two cases the 128x256 and 256x512 rules differ by more than
+    # tol; the pair (181x362, 256x512) agrees, and nested quad confirms its error
+    # bars.  In the other five, rules with radial nodes down to u = 0, half of
+    # them where the weight is below 1e-18 of its mass, agreed to tol on a value
+    # up to 1.4e-6 off (at l0 = 61, p0 = 5, x = 10)
     test_error_bars_are_honest(l0, p0, x, tol)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(l0=st.integers(1, 97), p0=st.integers(0, 8), log_x=st.floats(-2.0, 2.0),
+       tol=st.sampled_from([1e-6, 1e-9]))
+@example(l0=97, p0=8, log_x=2.0, tol=1e-6)  # the far corner, where false bars were seen
+def test_error_bars_are_honest_for_every_beam(l0, p0, log_x, tol):
+    # x log-uniform on [1e-2, 1e2]
+    test_error_bars_are_honest(l0, p0, 10.0 ** log_x, tol)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -388,9 +428,23 @@ def test_rule_cache_carries_no_state(monkeypatch):
         assert {case: evaluate(*case) for case in order} == cold
 
 
+def test_beam_rules_carry_no_state():
+    # one owner shared by calls at several x and tol, in either order, gives
+    # the bits of a fresh owner per call
+    beam = BeamParams(waist=1.0, l0=20, p0=2)
+    cases = [(x, tol) for x in (0.01, 1.0, 50.0) for tol in (1e-6, 1e-11)]
+    fresh = [channel_ab(beam, r0_from_x(beam, x), tol) for x, tol in cases]
+    for order in (cases, cases[::-1]):
+        rules = turbulence._BeamRules(beam)
+        shared = {case: channel_ab(beam, r0_from_x(beam, case[0]), case[1], rules=rules)
+                  for case in order}
+        assert [shared[case] for case in cases] == fresh
+
+
 def test_exponent_table_carries_no_state(monkeypatch):
-    # the kernel exponent, kept in the rule table of each ladder step, changes
-    # no bit either: rebuilding the rule tables after a warm call
+    # the kernel exponent's angular factor, kept in the rule table of each
+    # ladder step, changes no bit either: rebuilding the rule tables after a
+    # warm call
     beam = BeamParams(waist=1.0, l0=10, p0=1)
     turb = r0_from_x(beam, 2.0)
     warm = channel_ab(beam, turb, 1e-11)
