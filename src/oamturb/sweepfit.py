@@ -12,7 +12,7 @@ import numpy as np
 
 from .lgmath import BeamParams
 from .measures import concurrence_analytic, measure_triple
-from .qstate import ChannelCoefficients, WernerParams, apply_channel, werner_like
+from .qstate import ChannelCoefficients, WernerParams, XState, apply_channel, werner_like
 from .turbulence import ConvergenceFailure, _BeamRules, channel_ab, r0_from_x
 
 # Default initial guesses: the published fitted constants of each form.
@@ -61,10 +61,10 @@ class FitResult:
     iterations: int
 
 
-def _row_at(beam: BeamParams, w: WernerParams, x: float, tol: float,
+def _row_at(beam: BeamParams, state: XState, x: float, tol: float,
             rules: _BeamRules) -> SweepRow:
     cc = channel_ab(beam, r0_from_x(beam, x), tol, rules=rules)
-    m = measure_triple(apply_channel(werner_like(w), cc))
+    m = measure_triple(apply_channel(state, cc))
     return SweepRow(x=x, a=cc.a, b=cc.b, concurrence=m.concurrence,
                     coherence=m.coherence_rel_ent, lqu=m.lqu, lqu_branch=m.lqu_branch)
 
@@ -74,8 +74,8 @@ def sweep(beam: BeamParams, w: WernerParams, x_grid, tol: float = 1e-9) -> list[
     xs = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("x grid must be sorted ascending")
-    rules = _BeamRules(beam)
-    return [_row_at(beam, w, x, tol, rules) for x in xs]
+    state, rules = werner_like(w), _BeamRules(beam)
+    return [_row_at(beam, state, x, tol, rules) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,8 @@ def find_sudden_change(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     x: one bisection, as in find_esd (ConvergenceFailure if b/a falls)."""
     if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid sudden-change range [{x_min}, {x_max}]")
-    rules = _BeamRules(beam)
-    at = lambda x: _row_at(beam, w, x, tol, rules)
+    state, rules = werner_like(w), _BeamRules(beam)
+    at = lambda x: _row_at(beam, state, x, tol, rules)
     lo, hi = (x_min, at(x_min)), (x_max, at(x_max))
     before = lambda r: r.lqu_branch == lo[1].lqu_branch
     return None if before(hi[1]) else _bisect(at, before, lo, hi, 10.0 ** -ROOT_DIGITS, tol)
@@ -171,8 +171,8 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
     lo, hi = rows[change], rows[change + 1]
     if beam is None:
         return 0.5 * (lo.x + hi.x)
-    rules = _BeamRules(beam)
-    return _bisect(lambda x: _row_at(beam, w, x, tol, rules),
+    state, rules = werner_like(w), _BeamRules(beam)
+    return _bisect(lambda x: _row_at(beam, state, x, tol, rules),
                    lambda r: r.lqu_branch == lo.lqu_branch, (lo.x, lo), (hi.x, hi), refine_to, tol)
 
 

@@ -22,7 +22,10 @@ the kernel is below 1e-16 at every node are left out.  Each rule divides its
 sums by its own quadrature of the radial weight, whose exact mass is 1.  The
 rule size grows by about sqrt(2) per step until two successive sizes agree
 to the tolerance.  What a rule needs of the beam alone is built once per
-beam, by _BeamRules, and shared by the calls of a sweep or root search.
+beam, by _BeamRules, and shared by the calls of a sweep or root search; the
+first two steps a call evaluates are built in one pass over their nodes end
+to end.  Each rule's kernel exponent is a rank-1 matrix product, c(u) times
+-sin(theta/2)^(5/3), which BLAS forms faster than an elementwise outer product.
 """
 
 import math
@@ -69,7 +72,9 @@ _EXP_FLOOR = -700.0
 # ladder steps, once as a radial and once as an angular size.
 _GAUSS = {}
 
-# The input-free tables of _rule, per _RULE_SIZES step, filled on first use.
+# The input-free tables of _rule, per _RULE_SIZES step, filled on first use;
+# the entry of a step where a call starts also keeps the nodes of that step
+# and the next end to end.
 _RULES = {}
 
 
@@ -215,21 +220,32 @@ def _gauss01(n: int):
     return rule
 
 
-def _rule(n_u: int, n_th: int):
-    """The input-free tables of the (n_u, n_th) rule: the radial Gauss nodes
-    sigma on [0, 1] and the logs of their weights; the theta = pi t^3 nodes,
-    their weights (over pi) and -sin(theta/2)^(5/3), the kernel exponent over
-    c(u).  The Gauss nodes descend, so theta does and that exponent ascends."""
+def _rule(i: int):
+    """The input-free tables of ladder step i: its nodes, which are the radial
+    Gauss nodes sigma on [0, 1] and the logs of their weights, the theta = pi t^3
+    nodes and their weights (over pi); and -sin(theta/2)^(5/3), the kernel
+    exponent over c(u).  The Gauss nodes descend, so theta does and that
+    exponent ascends."""
+    n_u, n_th = _RULE_SIZES[i]
     rule = _RULES.get((n_u, n_th))
     if rule is None:
         sigma, w_sigma = _gauss01(n_u)
         t, wt = _gauss01(n_th)
         theta = math.pi * t ** 3
-        rule = _RULES[n_u, n_th] = (
-            sigma, np.log(w_sigma),
-            theta, wt * 3.0 * t ** 2,  # dtheta/dt = 3 pi t^2, over pi
-            -np.sin(0.5 * theta) ** (5.0 / 3.0))
+        rule = _RULES[n_u, n_th] = {
+            "nodes": (sigma, np.log(w_sigma), theta, wt * 3.0 * t ** 2),  # dtheta/dt = 3 pi t^2, over pi
+            "sin53": -np.sin(0.5 * theta) ** (5.0 / 3.0)}
     return rule
+
+
+def _pair_nodes(i: int):
+    """The nodes of ladder steps i and i + 1 end to end, kept in the entry of
+    step i once a call starts there."""
+    rule = _rule(i)
+    nodes = rule.get("pair")
+    if nodes is None:
+        nodes = rule["pair"] = tuple(map(np.concatenate, zip(rule["nodes"], _rule(i + 1)["nodes"])))
+    return nodes
 
 
 class _BeamRules:
@@ -250,29 +266,47 @@ class _BeamRules:
                           + math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0))
         self._steps = {}
 
-    def step(self, n_u: int, n_th: int):
-        """The radial weight of the (n_u, n_th) rule and its mass (inf or nan
-        if the weight leaves the float range); s^5 = c(u)/c(u_max) at each
+    def step(self, i: int, pair: bool = False):
+        """The tables of ladder step i: the radial weight and its mass (inf or
+        nan if the weight leaves the float range); s^5 = c(u)/c(u_max) at each
         radial node and -sin(theta/2)^(5/3) at each theta node, whose outer
         product times c(u_max) is the kernel exponent; and the angular rows w,
-        cos(2 l0 theta) w and |cos(2 l0 theta) w|."""
-        tables = self._steps.get((n_u, n_th))
+        cos(2 l0 theta) w and |cos(2 l0 theta) w|.  With pair, a step not yet
+        filled is filled in one pass with step i + 1, unless that one is."""
+        tables = self._steps.get(i)
         if tables is None:
-            sigma, log_w_sigma, theta, w_theta, sin53 = _rule(n_u, n_th)
-            s = self.s_lo + (1.0 - self.s_lo) * sigma
-            s5 = s ** 5
-            u = self.umax * s5 * s
-            log_w = log_w_sigma + (6 * self.labs + 5) * np.log(s) - u + self.log_scale
-            if self.p0:
-                # times L_p^|l|(u)^2, squared after the product so that only a
-                # weight beyond the float range overflows
-                radial = (np.exp(0.5 * log_w) * _laguerre(self.p0, self.labs, u)) ** 2
+            if pair and i + 1 not in self._steps:
+                self._fill((i, i + 1), _pair_nodes(i))
             else:
-                radial = np.exp(log_w)
-            cos_w = np.cos(2 * self.labs * theta) * w_theta
-            tables = self._steps[n_u, n_th] = (
-                radial, float(radial.sum()), s5, sin53, np.array((w_theta, cos_w, np.abs(cos_w))))
+                self._fill((i,), _rule(i)["nodes"])
+            tables = self._steps[i]
         return tables
+
+    def _fill(self, steps, nodes):
+        # the tables of the given ladder steps, from their nodes end to end
+        sigma, log_w_sigma, theta, w_theta = nodes
+        s = self.s_lo + (1.0 - self.s_lo) * sigma
+        s5 = s ** 5.0
+        u = self.umax * s5 * s
+        log_w = log_w_sigma + (6.0 * self.labs + 5.0) * np.log(s) - u + self.log_scale
+        if self.p0:
+            # times L_p^|l|(u)^2, squared after the product so that only a weight
+            # beyond the float range overflows, which the mass reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                radial = (np.exp(0.5 * log_w) * _laguerre(self.p0, self.labs, u)) ** 2
+        else:
+            radial = np.exp(log_w)
+        cos_w = np.cos(2.0 * self.labs * theta) * w_theta
+        rows = np.array((w_theta, cos_w, np.abs(cos_w)))
+        start_u = start_th = 0
+        for i in steps:
+            n_u, n_th = _RULE_SIZES[i]
+            end_u, end_th = start_u + n_u, start_th + n_th
+            weight = radial[start_u:end_u]
+            # the sum of finite terms of a unit-mass weight cannot overflow
+            self._steps[i] = (weight, float(np.add.reduce(weight)), s5[start_u:end_u],
+                              _rule(i)["sin53"], rows[:, start_th:end_th])
+            start_u, start_th = end_u, end_th
 
 
 def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
@@ -298,46 +332,54 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
     # In t the kernel is about exp(-c (pi/2)^(5/3) t^5), narrowest at u_max,
     # and an n-point Gauss rule on [0, 1] has about 2 n sqrt(t)/pi nodes below t.
     peak = (cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2
-    sizes = [size for size in _RULE_SIZES
-             if 2.0 * size[1] * math.sqrt(peak) / math.pi >= _PEAK_NODES]
-    if len(sizes) < 2:
+    # the ladder starts at the first step with _PEAK_NODES theta nodes in the
+    # peak, and a certifying pair needs a step after it
+    nodes_per_size = 2.0 * math.sqrt(peak)
+    for first, (_, n_th) in enumerate(_RULE_SIZES[:-1]):
+        if nodes_per_size * n_th / math.pi >= _PEAK_NODES:
+            break
+    else:
         raise ConvergenceFailure(
             f"channel integral: turbulence too strong to resolve {_where(beam, turb)}")
     # the kernel falls in theta and in u: a column left out is below _TAIL_MASS
     # wherever it is at the widest node, so it moves each sum by less than that
     cut = math.log(_TAIL_MASS) / cu_max
     coarse = None
-    # the Laguerre recurrence may overflow, which the mass check reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n_u, n_th in sizes:
-            radial, mass, s5, sin53, rows = rules.step(n_u, n_th)
-            # radial >= 0, so a weight beyond the float range leaves the mass inf or nan
-            if not math.isfinite(mass):
-                raise ConvergenceFailure("channel integral: the radial weight overflows "
-                                         f"the float range {_where(beam, turb)}")
-            # the widest node is the last, as the Gauss nodes descend
-            first = sin53.searchsorted(cut / s5[-1])
-            # the kernel, floored and exponentiated in place: ~1 MB at 256x512
-            kernel = np.multiply.outer(cu_max * s5, sin53[first:])
+    for i in range(first, len(_RULE_SIZES)):
+        # the first two steps are filled together: every call evaluates both
+        radial, mass, s5, sin53, rows = rules.step(i, i == first)
+        # radial >= 0, so a weight beyond the float range leaves the mass inf or nan
+        if not math.isfinite(mass):
+            raise ConvergenceFailure("channel integral: the radial weight overflows "
+                                     f"the float range {_where(beam, turb)}")
+        # the widest node is the last, as the Gauss nodes descend
+        col = sin53.searchsorted(cut / s5[-1])
+        # the kernel exponent as a rank-1 matrix product, then floored and
+        # exponentiated in place: ~1 MB at 256x512
+        kernel = np.dot((cu_max * s5)[:, None], sin53[None, col:])
+        # the least exponent is the first: the largest s^5 times the most
+        # negative -sin(theta/2)^(5/3) kept
+        if kernel[0, 0] < _EXP_FLOOR:
             np.maximum(kernel, _EXP_FLOOR, out=kernel)
-            np.exp(kernel, out=kernel)
-            # the radial sum first, then the rows w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
-            # radial, kernel and w are positive, so a is also its own sum of |terms|
-            sums = rows[:, first:] @ (radial @ kernel)
-            del kernel  # so that no two rules' kernels are alive at once
-            a, b, abs_b = [v / mass for v in sums.tolist()]
-            # each error estimate is |fine - coarse|, floored by the round-off of the
-            # finer sum and the three cut tails, two radial and one angular
-            if coarse is not None:
-                err_a = max(abs(a - coarse[0]), _ROUNDOFF * a + 3.0 * _TAIL_MASS)
-                err_b = max(abs(b - coarse[1]), _ROUNDOFF * abs_b + 3.0 * _TAIL_MASS)
-                if err_a <= tol and err_b <= tol:
-                    break
-            coarse = a, b
-        else:
-            raise ConvergenceFailure(
-                f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule; "
-                f"last error estimate {max(err_a, err_b):.3g} {_where(beam, turb)}")
+        np.exp(kernel, out=kernel)
+        # the radial sum first, then the rows w, cos(2 l0 theta) w and |cos(2 l0 theta) w|;
+        # radial, kernel and w are positive, so a is also its own sum of |terms|
+        sums = rows[:, col:] @ (radial @ kernel)
+        del kernel  # so that no two rules' kernels are alive at once
+        a, b, abs_b = [v / mass for v in sums.tolist()]
+        # each error estimate is |fine - coarse|, floored by the round-off of the
+        # finer sum and the three cut tails, two radial and one angular
+        if coarse is not None:
+            err_a = max(abs(a - coarse[0]), _ROUNDOFF * a + 3.0 * _TAIL_MASS)
+            err_b = max(abs(b - coarse[1]), _ROUNDOFF * abs_b + 3.0 * _TAIL_MASS)
+            if err_a <= tol and err_b <= tol:
+                break
+        coarse = a, b
+    else:
+        n_u, n_th = _RULE_SIZES[-1]
+        raise ConvergenceFailure(
+            f"channel integral did not reach tol={tol} with a {n_u}x{n_th} rule; "
+            f"last error estimate {max(err_a, err_b):.3g} {_where(beam, turb)}")
     if b < 0.0:
         if b < -NEGATIVE_B_TOL:
             raise ConvergenceFailure(f"crosstalk coefficient b = {b} is negative beyond "

@@ -430,9 +430,12 @@ def test_rule_cache_carries_no_state(monkeypatch):
 
 def test_beam_rules_carry_no_state():
     # one owner shared by calls at several x and tol, in either order, gives
-    # the bits of a fresh owner per call
+    # the bits of a fresh owner per call.  The calls start the ladder at
+    # different steps: x = 0.5 at tol 1e-11 reaches 32x64 to 64x128, and
+    # x = 1e3 starts at 64x128, so a step is filled alone, or in a pair with
+    # the next, whichever call comes first
     beam = BeamParams(waist=1.0, l0=20, p0=2)
-    cases = [(x, tol) for x in (0.01, 1.0, 50.0) for tol in (1e-6, 1e-11)]
+    cases = [(x, tol) for x in (0.01, 1.0, 50.0) for tol in (1e-6, 1e-11)] + [(0.5, 1e-11), (1e3, 1e-9)]
     fresh = [channel_ab(beam, r0_from_x(beam, x), tol) for x, tol in cases]
     for order in (cases, cases[::-1]):
         rules = turbulence._BeamRules(beam)
@@ -455,12 +458,18 @@ def test_exponent_table_carries_no_state(monkeypatch):
 
 def test_first_call_builds_only_the_rules_it_uses():
     # the rule tables fill per ladder step on first use: a fresh process
-    # builds the Gauss rules and tables of the ladder steps it reaches, no more
+    # builds the Gauss rules and tables of the ladder steps it reaches, no
+    # more, and a call that goes on past its first pair of steps builds the
+    # next step alone
     code = ("from oamturb import turbulence as t\n"
             "beam = t.BeamParams(1, 1)\n"
             "t.channel_ab(beam, t.r0_from_x(beam, 0.5), 1e-9)\n"
+            "print(sorted(t._GAUSS), sorted(t._RULES))\n"
+            "t.channel_ab(beam, t.r0_from_x(beam, 0.5), 1e-11)\n"
             "print(sorted(t._GAUSS), sorted(t._RULES))")
-    assert fresh_python("-c", code).stdout.strip() == "[32, 45, 64, 90] [(32, 64), (45, 90)]"
+    assert fresh_python("-c", code).stdout.splitlines() == [
+        "[32, 45, 64, 90] [(32, 64), (45, 90)]",
+        "[32, 45, 64, 90, 128] [(32, 64), (45, 90), (64, 128)]"]
 
 
 def test_only_the_rule_tables_grow():
