@@ -160,10 +160,12 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
         raise ValueError("refining a sudden change needs both beam and w")
     if not 0.0 < refine_to < math.inf:
         raise ValueError(f"refine_to must be positive and finite, got {refine_to}")
-    steps = [b.x - a.x for a, b in zip(rows, rows[1:])] or [0.0]
-    if not 0.0 <= min(steps) <= max(steps) <= SUDDEN_CHANGE_SPACING + 1e-12:
+    steps = [b.x - a.x for a, b in zip(rows, rows[1:])]
+    # each step alone: min() and max() would skip a nan step by its position
+    bad = [step for step in steps if not 0.0 <= step <= SUDDEN_CHANGE_SPACING + 1e-12]
+    if bad:
         raise ValueError(f"rows need ascending x steps of at most {SUDDEN_CHANGE_SPACING} "
-                         f"for sudden-change detection, got [{min(steps)}, {max(steps)}]")
+                         f"for sudden-change detection, got a step of {bad[0]}")
     change = next((i for i, (r0, r1) in enumerate(zip(rows, rows[1:]))
                    if r0.lqu_branch != r1.lqu_branch), None)
     if change is None:
@@ -353,7 +355,7 @@ def collapse_check(curves: list[list[SweepRow]], measure: str = "coherence") -> 
         return 0.0
     grids = [np.array([r.x for r in rows]) for rows in curves]
     for g in grids[1:]:
-        if g.shape != grids[0].shape or np.max(np.abs(g - grids[0])) > 1e-12:
+        if g.shape != grids[0].shape or not np.max(np.abs(g - grids[0])) <= 1e-12:
             raise GridMismatch("sweeps do not share the same x grid")
     cols = np.array([[getattr(r, measure) for r in rows] for rows in curves])
     return float(np.max(np.ptp(cols, axis=0)))

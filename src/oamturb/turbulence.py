@@ -21,11 +21,14 @@ holds all but 1e-16 of its mass at each end, and the theta columns where
 the kernel is below 1e-16 at every node are left out.  Each rule divides its
 sums by its own quadrature of the radial weight, whose exact mass is 1.  The
 rule size grows by about sqrt(2) per step until two successive sizes agree
-to the tolerance.  What a rule needs of the beam alone is built once per
-beam, by _BeamRules, and shared by the calls of a sweep or root search; the
-first two steps a call evaluates are built in one pass over their nodes end
-to end.  Each rule's kernel exponent is a rank-1 matrix product, c(u) times
--sin(theta/2)^(5/3), which BLAS forms faster than an elementwise outer product.
+to the tolerance, the coarser resolving both the theta ~ 0 peak and the p0
+zeros of the radial weight.  _nodes gives the input-free tables of one or
+two steps end to end.  From them _BeamRules builds, once per beam, what a
+rule needs of the beam alone, for the calls of a sweep or root search to
+share; it builds the first two steps a call evaluates in one pass.  Each
+rule's kernel exponent is a rank-1 matrix product, c(u) times
+-sin(theta/2)^(5/3), which BLAS forms faster than an elementwise outer
+product.
 """
 
 import math
@@ -57,6 +60,12 @@ _RULE_SIZES = ((32, 64), (45, 90), (64, 128), (90, 180), (128, 256), (181, 362),
 # two under-resolved rules can agree on a wrong value.
 _PEAK_NODES = 8
 
+# Radial nodes per zero of the Laguerre factor that the coarser rule of a
+# certifying pair must have, for the same reason: rules that both under-resolve
+# the p0 zeros of the radial weight can agree on a wrong value.  No rule with a
+# step after it resolves p0 > 60.
+_ZERO_NODES = 3
+
 # Round-off floor of an error estimate, relative to the sum of |terms|
 # (the QUADPACK 50 eps convention).
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
@@ -72,9 +81,8 @@ _EXP_FLOOR = -700.0
 # ladder steps, once as a radial and once as an angular size.
 _GAUSS = {}
 
-# The input-free tables of _rule, per _RULE_SIZES step, filled on first use;
-# the entry of a step where a call starts also keeps the nodes of that step
-# and the next end to end.
+# The input-free tables of _nodes, per _RULE_SIZES step and number of steps
+# from it, filled on first use.
 _RULES = {}
 
 
@@ -220,32 +228,24 @@ def _gauss01(n: int):
     return rule
 
 
-def _rule(i: int):
-    """The input-free tables of ladder step i: its nodes, which are the radial
-    Gauss nodes sigma on [0, 1] and the logs of their weights, the theta = pi t^3
-    nodes and their weights (over pi); and -sin(theta/2)^(5/3), the kernel
-    exponent over c(u).  The Gauss nodes descend, so theta does and that
-    exponent ascends."""
-    n_u, n_th = _RULE_SIZES[i]
-    rule = _RULES.get((n_u, n_th))
-    if rule is None:
-        sigma, w_sigma = _gauss01(n_u)
-        t, wt = _gauss01(n_th)
-        theta = math.pi * t ** 3
-        rule = _RULES[n_u, n_th] = {
-            "nodes": (sigma, np.log(w_sigma), theta, wt * 3.0 * t ** 2),  # dtheta/dt = 3 pi t^2, over pi
-            "sin53": -np.sin(0.5 * theta) ** (5.0 / 3.0)}
-    return rule
-
-
-def _pair_nodes(i: int):
-    """The nodes of ladder steps i and i + 1 end to end, kept in the entry of
-    step i once a call starts there."""
-    rule = _rule(i)
-    nodes = rule.get("pair")
-    if nodes is None:
-        nodes = rule["pair"] = tuple(map(np.concatenate, zip(rule["nodes"], _rule(i + 1)["nodes"])))
-    return nodes
+def _nodes(i: int, n: int):
+    """The input-free tables of the n = 1 or 2 ladder steps from step i, end to
+    end: the radial Gauss nodes sigma on [0, 1] and the logs of their weights,
+    the theta = pi t^3 nodes and their weights (over pi), and
+    -sin(theta/2)^(5/3), the kernel exponent over c(u).  Within a step the
+    Gauss nodes descend, so theta does and that exponent ascends."""
+    tables = _RULES.setdefault(_RULE_SIZES[i], {})
+    if n not in tables:
+        if n == 2:
+            tables[2] = tuple(map(np.concatenate, zip(_nodes(i, 1), _nodes(i + 1, 1))))
+        else:
+            n_u, n_th = _RULE_SIZES[i]
+            sigma, w_sigma = _gauss01(n_u)
+            t, wt = _gauss01(n_th)
+            theta = math.pi * t ** 3
+            tables[1] = (sigma, np.log(w_sigma), theta, wt * 3.0 * t ** 2,  # wt dtheta/dt / pi
+                         -np.sin(0.5 * theta) ** (5.0 / 3.0))
+    return tables[n]
 
 
 class _BeamRules:
@@ -255,6 +255,12 @@ class _BeamRules:
     def __init__(self, beam: BeamParams):
         labs, p0 = abs(beam.l0), beam.p0
         self.labs, self.p0 = labs, p0
+        # the first ladder step with _ZERO_NODES radial nodes per zero and a step
+        # after it; where there is none (p0 > 60), nothing else is built
+        self.first = next((i for i, (n_u, _) in enumerate(_RULE_SIZES[:-1])
+                           if n_u >= _ZERO_NODES * p0), None)
+        if self.first is None:
+            return
         self.umax = umax = _u_max(beam)
         # the radial nodes fill s = s_lo + (1 - s_lo) sigma, u = umax s^6 in [u_lo, umax]
         self.s_lo = (_u_lo(beam) / umax) ** (1.0 / 6.0)
@@ -271,20 +277,18 @@ class _BeamRules:
         nan if the weight leaves the float range); s^5 = c(u)/c(u_max) at each
         radial node and -sin(theta/2)^(5/3) at each theta node, whose outer
         product times c(u_max) is the kernel exponent; and the angular rows w,
-        cos(2 l0 theta) w and |cos(2 l0 theta) w|.  With pair, a step not yet
-        filled is filled in one pass with step i + 1, unless that one is."""
+        cos(2 l0 theta) w and |cos(2 l0 theta) w|.  A step not yet filled is
+        filled in one pass with step i + 1 if pair is set and step i + 1 is not
+        filled yet, else alone."""
         tables = self._steps.get(i)
         if tables is None:
-            if pair and i + 1 not in self._steps:
-                self._fill((i, i + 1), _pair_nodes(i))
-            else:
-                self._fill((i,), _rule(i)["nodes"])
+            self._fill(i, 2 if pair and i + 1 not in self._steps else 1)
             tables = self._steps[i]
         return tables
 
-    def _fill(self, steps, nodes):
-        # the tables of the given ladder steps, from their nodes end to end
-        sigma, log_w_sigma, theta, w_theta = nodes
+    def _fill(self, first, n):
+        # the tables of the n ladder steps from first, from their nodes end to end
+        sigma, log_w_sigma, theta, w_theta, sin53 = _nodes(first, n)
         s = self.s_lo + (1.0 - self.s_lo) * sigma
         s5 = s ** 5.0
         u = self.umax * s5 * s
@@ -299,13 +303,13 @@ class _BeamRules:
         cos_w = np.cos(2.0 * self.labs * theta) * w_theta
         rows = np.array((w_theta, cos_w, np.abs(cos_w)))
         start_u = start_th = 0
-        for i in steps:
+        for i in range(first, first + n):
             n_u, n_th = _RULE_SIZES[i]
             end_u, end_th = start_u + n_u, start_th + n_th
             weight = radial[start_u:end_u]
             # the sum of finite terms of a unit-mass weight cannot overflow
             self._steps[i] = (weight, float(np.add.reduce(weight)), s5[start_u:end_u],
-                              _rule(i)["sin53"], rows[:, start_th:end_th])
+                              sin53[start_th:end_th], rows[:, start_th:end_th])
             start_u, start_th = end_u, end_th
 
 
@@ -316,9 +320,10 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
     err_a and err_b bound |a - a_true| and |b - b_true|, each at most tol.
     rules, private, carries the beam's tables from earlier calls at the same
     beam; without it they are built for this call.
-    Raises ValueError if tol is not positive, and ConvergenceFailure if the
-    theta ~ 0 peak is too narrow for the rules, if the radial weight
-    overflows the float range, or if the largest rule still misses tol.
+    Raises ValueError if tol is not positive, and ConvergenceFailure if p0
+    has more zeros or the theta ~ 0 peak is narrower than the rules resolve,
+    if the radial weight overflows the float range, or if the largest rule
+    still misses tol.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -328,14 +333,17 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
     if rules is None:
         rules = _BeamRules(beam)
+    if rules.first is None:
+        raise ConvergenceFailure(
+            f"channel integral: radial index too large to resolve {_where(beam, turb)}")
     cu_max = c_scale * rules.umax ** (5.0 / 6.0)
     # In t the kernel is about exp(-c (pi/2)^(5/3) t^5), narrowest at u_max,
     # and an n-point Gauss rule on [0, 1] has about 2 n sqrt(t)/pi nodes below t.
     peak = (cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2
-    # the ladder starts at the first step with _PEAK_NODES theta nodes in the
-    # peak, and a certifying pair needs a step after it
+    # the ladder starts at the first step from the owner's with _PEAK_NODES theta
+    # nodes in the peak, and a certifying pair needs a step after it
     nodes_per_size = 2.0 * math.sqrt(peak)
-    for first, (_, n_th) in enumerate(_RULE_SIZES[:-1]):
+    for first, (_, n_th) in enumerate(_RULE_SIZES[rules.first:-1], rules.first):
         if nodes_per_size * n_th / math.pi >= _PEAK_NODES:
             break
     else:

@@ -703,12 +703,14 @@ def test_every_traced_site_resolves():
     assert missing <= {"oamturb.cli.detect_sudden_change"}
 
 
-def test_laguerre_overflow_is_clean_numerical_failure():
-    # at p0 = 400 the Laguerre recurrence overflows inside the radial rule;
-    # run in a fresh interpreter so that any numpy warning reaches stderr
-    done = fresh_python("-m", "oamturb", "channel", "--x", "1", "--p0", "400", check=False)
+@pytest.mark.parametrize("p0", [400, 10 ** 9])
+def test_laguerre_overflow_is_clean_numerical_failure(p0):
+    # p0 past what the rules resolve fails before any radial table is built,
+    # so even at 10^9 it fails at once; run in a fresh interpreter so that any
+    # numpy warning reaches stderr
+    done = fresh_python("-m", "oamturb", "channel", "--x", "1", "--p0", str(p0), check=False)
     assert done.returncode == EXIT_NUMERICAL
     assert done.stdout == ""
     assert "Warning" not in done.stderr
     assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
-    assert "p0=400" in done.stderr
+    assert f"p0={p0}" in done.stderr

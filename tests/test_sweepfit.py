@@ -255,6 +255,17 @@ class TestDetectSuddenChange:
         with pytest.raises(ValueError, match="ascending"):
             detect_sudden_change(rows[::-1], BEAM1, w, tol=1e-9)
 
+    @pytest.mark.parametrize("context", [{}, {"beam": BEAM1, "w": WernerParams(1.0, math.pi / 3)}],
+                             ids=["grid", "refined"])
+    def test_rejects_nan_x(self, context):
+        # a nan x just past the switch, where min() and max() of the steps
+        # skip the nan steps
+        w = WernerParams(1.0, math.pi / 3)
+        rows = sweep(BEAM1, w, np.linspace(0.0, 1.0, 21), tol=1e-9)
+        rows[3] = dataclasses.replace(rows[3], x=math.nan)
+        with pytest.raises(ValueError, match="ascending x steps .* got a step of nan"):
+            detect_sudden_change(rows, **context)
+
     @pytest.mark.parametrize("refine_to", [0.0, -1e-4, math.inf, math.nan])
     def test_rejects_bad_refine_to(self, refine_to):
         with pytest.raises(ValueError, match="refine_to"):
@@ -566,6 +577,9 @@ class TestCollapseCheck:
     def test_grid_mismatch_raises(self):
         with pytest.raises(GridMismatch):
             collapse_check([synthetic_rows(), synthetic_rows(np.linspace(0, 3, 31))])
+        rows = synthetic_rows()
+        with pytest.raises(GridMismatch):
+            collapse_check([rows, [*rows[:5], dataclasses.replace(rows[5], x=math.nan), *rows[6:]]])
 
     @pytest.mark.parametrize("curves", [[[], []], [[]]], ids=["two", "one"])
     def test_empty_sweeps_rejected(self, curves):

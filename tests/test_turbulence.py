@@ -250,7 +250,7 @@ class TestChannelAB:
             channel_ab(BeamParams(), TurbulenceParams(1.0), 0.0)
 
     @pytest.mark.parametrize("p0, x, tol", [(0, 1e200, 1e-9), (400, 1.0, 1e-9), (0, 1.0, 1e-17)],
-                             ids=["too_strong", "radial_overflow", "tol_not_reached"])
+                             ids=["too_strong", "radial_index_too_large", "tol_not_reached"])
     def test_every_failure_names_the_point(self, p0, x, tol):
         beam = BeamParams(waist=1.0, l0=1, p0=p0)
         with pytest.raises(ConvergenceFailure) as info:
@@ -330,12 +330,16 @@ def test_radial_lower_cut_mass(l0, p0):
     assert head <= _TAIL_MASS
 
 
-@pytest.mark.parametrize("p0, message", [(284, "did not reach tol=1e-09 with a 256x512 rule"),
-                                         (285, "the radial weight overflows the float range")])
-def test_first_radial_index_that_overflows(p0, message):
-    # the radial weight leaves the float range from p0 = 285 on at l0 = 1, x = 1,
-    # wherever the rule places its nodes in [u_lo, u_max]
-    beam = BeamParams(waist=1.0, l0=1, p0=p0)
+@pytest.mark.parametrize("l0, p0, message", [
+    (1, 60, "did not reach tol=1e-09 with a 256x512 rule"),
+    (1, 61, "radial index too large to resolve"),
+    (10 ** 7, 60, "the radial weight overflows the float range")],
+    ids=["largest_p0", "p0_past_the_rules", "weight_overflow"])
+def test_radial_index_bounds(l0, p0, message):
+    # p0 = 60 is the largest radial index with 3 radial nodes per zero in a rule
+    # that has a step after it, 181x362; past it the call raises before building
+    # anything.  At l0 = 10^7 the weight leaves the float range even at p0 = 60
+    beam = BeamParams(waist=1.0, l0=l0, p0=p0)
     with pytest.raises(ConvergenceFailure, match=message):
         channel_ab(beam, r0_from_x(beam, 1.0), 1e-9)
 
@@ -378,13 +382,17 @@ def test_error_bars_are_honest(l0, p0, x, tol):
 @pytest.mark.parametrize("l0, p0, x, tol", [(97, 2, 0.00307, 1e-12), (93, 8, 0.01435, 1e-11),
                                             (40, 3, 30.0, 1e-6), (61, 5, 10.0, 1e-6),
                                             (97, 5, 30.0, 1e-6), (97, 5, 100.0, 1e-6),
-                                            (97, 8, 100.0, 1e-6)])
+                                            (97, 8, 100.0, 1e-6), (60, 12, 10.0, 1e-6),
+                                            (40, 20, 10.0, 1e-6), (10, 20, 30.0, 1e-6),
+                                            (97, 25, 3.0, 1e-6)])
 def test_error_bars_are_honest_at_high_l0(l0, p0, x, tol):
     # in the first two cases the 128x256 and 256x512 rules differ by more than
     # tol; the pair (181x362, 256x512) agrees, and nested quad confirms its error
-    # bars.  In the other five, rules with radial nodes down to u = 0, half of
+    # bars.  In the next five, rules with radial nodes down to u = 0, half of
     # them where the weight is below 1e-18 of its mass, agreed to tol on a value
-    # up to 1.4e-6 off (at l0 = 61, p0 = 5, x = 10)
+    # up to 1.4e-6 off (at l0 = 61, p0 = 5, x = 10).  In the last four, rules
+    # with fewer than 3 radial nodes per zero of the weight agreed on a value up
+    # to 2.9e-5 off (at l0 = 40, p0 = 20, x = 10)
     test_error_bars_are_honest(l0, p0, x, tol)
 
 
