@@ -29,6 +29,10 @@ class BeamParams:
             raise ValueError(f"beam waist must be positive and finite, got {self.waist}")
         if abs(self.l0) < 1:
             raise ValueError("azimuthal index l0 = 0 gives no two-dimensional OAM subspace")
+        if abs(self.l0) > 2 ** 53:
+            # the beam math runs on float(l0), which holds l0 exactly only this far
+            raise ValueError("azimuthal index |l0| must be at most 2**53, "
+                             "where floats hold integers exactly")
         if self.p0 < 0:
             raise ValueError(f"radial index p0 must be non-negative, got {self.p0}")
 

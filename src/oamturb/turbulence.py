@@ -31,6 +31,7 @@ rule's kernel exponent is a rank-1 matrix product, c(u) times
 product.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -75,15 +76,6 @@ _ROUNDOFF = 50.0 * sys.float_info.epsilon
 # times its weights, and a rule has at most 256x512 terms, so the sums move
 # by less than 1e-297, far below the round-off floor of the error estimate.
 _EXP_FLOOR = -700.0
-
-# Gauss-Legendre nodes and weights on [0, 1], per size, filled on first use.
-# Kept apart from _RULES because the sizes 64, 90, 128 and 256 each serve two
-# ladder steps, once as a radial and once as an angular size.
-_GAUSS = {}
-
-# The input-free tables of _nodes, per _RULE_SIZES step and number of steps
-# from it, filled on first use.
-_RULES = {}
 
 
 class ConvergenceFailure(RuntimeError):
@@ -209,6 +201,8 @@ def _legendre(n: int, x):
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
+# cached apart from _nodes: the sizes 64, 90, 128 and 256 each serve two ladder steps
+@functools.cache
 def _gauss01(n: int):
     """n-point Gauss-Legendre nodes and weights on [0, 1]: Newton's method
     on P_n from Tricomi's approximate nodes, which are good to O(n^-4).
@@ -216,36 +210,30 @@ def _gauss01(n: int):
     scipy's roots_legendre weights are off by about 3e-14 from n = 128 on,
     more than the round-off floor of the error estimate.
     """
-    rule = _GAUSS.get(n)
-    if rule is None:
-        k = np.arange(1, n + 1)
-        nodes = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
-        for _ in range(3):
-            p, dp = _legendre(n, nodes)
-            nodes = nodes - p / dp
-        dp = _legendre(n, nodes)[1]
-        rule = _GAUSS[n] = (0.5 * (nodes + 1.0), 1.0 / ((1.0 - nodes ** 2) * dp ** 2))
-    return rule
+    k = np.arange(1, n + 1)
+    nodes = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(3):
+        p, dp = _legendre(n, nodes)
+        nodes = nodes - p / dp
+    dp = _legendre(n, nodes)[1]
+    return 0.5 * (nodes + 1.0), 1.0 / ((1.0 - nodes ** 2) * dp ** 2)
 
 
+@functools.cache
 def _nodes(i: int, n: int):
     """The input-free tables of the n = 1 or 2 ladder steps from step i, end to
     end: the radial Gauss nodes sigma on [0, 1] and the logs of their weights,
     the theta = pi t^3 nodes and their weights (over pi), and
     -sin(theta/2)^(5/3), the kernel exponent over c(u).  Within a step the
     Gauss nodes descend, so theta does and that exponent ascends."""
-    tables = _RULES.setdefault(_RULE_SIZES[i], {})
-    if n not in tables:
-        if n == 2:
-            tables[2] = tuple(map(np.concatenate, zip(_nodes(i, 1), _nodes(i + 1, 1))))
-        else:
-            n_u, n_th = _RULE_SIZES[i]
-            sigma, w_sigma = _gauss01(n_u)
-            t, wt = _gauss01(n_th)
-            theta = math.pi * t ** 3
-            tables[1] = (sigma, np.log(w_sigma), theta, wt * 3.0 * t ** 2,  # wt dtheta/dt / pi
-                         -np.sin(0.5 * theta) ** (5.0 / 3.0))
-    return tables[n]
+    if n == 2:
+        return tuple(map(np.concatenate, zip(_nodes(i, 1), _nodes(i + 1, 1))))
+    n_u, n_th = _RULE_SIZES[i]
+    sigma, w_sigma = _gauss01(n_u)
+    t, wt = _gauss01(n_th)
+    theta = math.pi * t ** 3
+    return (sigma, np.log(w_sigma), theta, wt * 3.0 * t ** 2,  # wt dtheta/dt / pi
+            -np.sin(0.5 * theta) ** (5.0 / 3.0))
 
 
 class _BeamRules:
@@ -272,14 +260,14 @@ class _BeamRules:
                           + math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0))
         self._steps = {}
 
-    def step(self, i: int, pair: bool = False):
+    def step(self, i: int, pair: bool):
         """The tables of ladder step i: the radial weight and its mass (inf or
-        nan if the weight leaves the float range); s^5 = c(u)/c(u_max) at each
-        radial node and -sin(theta/2)^(5/3) at each theta node, whose outer
-        product times c(u_max) is the kernel exponent; and the angular rows w,
-        cos(2 l0 theta) w and |cos(2 l0 theta) w|.  A step not yet filled is
-        filled in one pass with step i + 1 if pair is set and step i + 1 is not
-        filled yet, else alone."""
+        nan if the weight leaves the float range, 0 if it underflows); s^5 =
+        c(u)/c(u_max) at each radial node and -sin(theta/2)^(5/3) at each theta
+        node, whose outer product times c(u_max) is the kernel exponent; and the
+        angular rows w, cos(2 l0 theta) w and |cos(2 l0 theta) w|.  A step not
+        yet filled is filled in one pass with step i + 1 if pair is set and
+        step i + 1 is not filled yet, else alone."""
         tables = self._steps.get(i)
         if tables is None:
             self._fill(i, 2 if pair and i + 1 not in self._steps else 1)
@@ -322,8 +310,8 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
     beam; without it they are built for this call.
     Raises ValueError if tol is not positive, and ConvergenceFailure if p0
     has more zeros or the theta ~ 0 peak is narrower than the rules resolve,
-    if the radial weight overflows the float range, or if the largest rule
-    still misses tol.
+    if the radial weight overflows the float range or underflows at every
+    node, or if the largest rule still misses tol.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -356,10 +344,12 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
     for i in range(first, len(_RULE_SIZES)):
         # the first two steps are filled together: every call evaluates both
         radial, mass, s5, sin53, rows = rules.step(i, i == first)
-        # radial >= 0, so a weight beyond the float range leaves the mass inf or nan
-        if not math.isfinite(mass):
-            raise ConvergenceFailure("channel integral: the radial weight overflows "
-                                     f"the float range {_where(beam, turb)}")
+        # radial >= 0, so a weight beyond the float range leaves the mass inf or
+        # nan, and one that underflows at every node (huge |l0|) leaves it 0
+        if not 0.0 < mass < math.inf:
+            fault = "underflows at every node" if mass == 0.0 else "overflows the float range"
+            raise ConvergenceFailure(
+                f"channel integral: the radial weight {fault} {_where(beam, turb)}")
         # the widest node is the last, as the Gauss nodes descend
         col = sin53.searchsorted(cut / s5[-1])
         # the kernel exponent as a rank-1 matrix product, then floored and

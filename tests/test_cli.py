@@ -577,6 +577,25 @@ def test_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
+# |l0| = 10^k: past 2**53, where float(l0) stops being exact, the beam is
+# rejected; at 10^10 and weak turbulence the radial weight underflows at every
+# node, a numerical failure.  Either way one stderr line and no file
+TOO_LARGE_L0 = "error: azimuthal index |l0| must be at most 2**53, where floats hold integers exactly"
+HUGE_L0 = {10: (EXIT_NUMERICAL, "numerical failure: channel integral: the radial weight "
+                "underflows at every node (l0=10000000000, p0=0, x=1e-09)"),
+           40: (EXIT_CONFIG, TOO_LARGE_L0), 309: (EXIT_CONFIG, TOO_LARGE_L0)}
+
+
+@pytest.mark.parametrize("command, k", [("channel", 10), ("measures", 10)] + [
+    (command, k) for k in (40, 309) for command in ("channel", "measures", "esd", "sweep")])
+def test_huge_l0_ends_in_one_line(command, k, tmp_path, monkeypatch, capsys):
+    code, message = HUGE_L0[k]
+    monkeypatch.chdir(tmp_path)
+    spec = ["--out", "f.csv"] if command == "sweep" else [] if command == "esd" else ["--x", "1e-9"]
+    assert run_cli([command, "--l0", str(10 ** k), *spec], capsys) == (code, "", message + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # every setting: its config section, a value other than the default, and a
 # command line that takes it; written out here to check the CLI's own table
 SETTINGS = {

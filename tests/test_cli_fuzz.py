@@ -18,7 +18,7 @@ JUNK = st.sampled_from(["", "junk", "1e", "0x10", "--", "1,2"]) | st.text(
     st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=6)
 FLOATS = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300",
                           "0", "-0"]) | st.floats(-5.0, 5.0).map(repr) | JUNK
-INTS = st.integers(-5, 400).map(str) | JUNK
+INTS = st.integers(-5, 400).map(str) | st.sampled_from([str(10**10), str(10**40), str(10**400)]) | JUNK
 STRINGS = {
     "out": st.sampled_from(["f.csv", "100%.csv", "%(x)s"]),
     "form": st.sampled_from(["poly", "exp", "junk"]),

@@ -135,6 +135,14 @@ class TestBeamParams:
         with pytest.raises(ValueError):
             BeamParams(waist=1.0, l0=0)
 
+    def test_l0_up_to_exact_floats(self):
+        # the beam math runs on float(l0), exact up to |l0| = 2**53
+        for l0 in (2 ** 53, -(2 ** 53)):
+            assert BeamParams(waist=1.0, l0=l0).l0 == l0
+        for l0 in (2 ** 53 + 1, -(2 ** 53) - 1, 10 ** 400):
+            with pytest.raises(ValueError, match="l0"):
+                BeamParams(waist=1.0, l0=l0)
+
     def test_rejects_bad_waist_and_p0(self):
         with pytest.raises(ValueError):
             BeamParams(waist=0.0, l0=1)

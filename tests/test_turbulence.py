@@ -9,6 +9,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import (
     channel_ab_bruteforce,
+    channel_ab_panels,
     channel_ab_quad,
     fresh_python,
     lambda_element,
@@ -333,12 +334,14 @@ def test_radial_lower_cut_mass(l0, p0):
 @pytest.mark.parametrize("l0, p0, message", [
     (1, 60, "did not reach tol=1e-09 with a 256x512 rule"),
     (1, 61, "radial index too large to resolve"),
-    (10 ** 7, 60, "the radial weight overflows the float range")],
-    ids=["largest_p0", "p0_past_the_rules", "weight_overflow"])
+    (10 ** 7, 60, "the radial weight overflows the float range"),
+    (2 ** 53, 0, "the radial weight underflows at every node")],
+    ids=["largest_p0", "p0_past_the_rules", "weight_overflow", "weight_underflow"])
 def test_radial_index_bounds(l0, p0, message):
     # p0 = 60 is the largest radial index with 3 radial nodes per zero in a rule
     # that has a step after it, 181x362; past it the call raises before building
-    # anything.  At l0 = 10^7 the weight leaves the float range even at p0 = 60
+    # anything.  At l0 = 10^7 the weight leaves the float range even at p0 = 60,
+    # and at the largest l0 its nodes miss its peak, so it underflows at every one
     beam = BeamParams(waist=1.0, l0=l0, p0=p0)
     with pytest.raises(ConvergenceFailure, match=message):
         channel_ab(beam, r0_from_x(beam, 1.0), 1e-9)
@@ -405,6 +408,31 @@ def test_error_bars_are_honest_for_every_beam(l0, p0, log_x, tol):
     test_error_bars_are_honest(l0, p0, 10.0 ** log_x, tol)
 
 
+@pytest.mark.parametrize("l0, p0, x", [(40, 20, 10.0), (60, 12, 10.0)])
+def test_panel_oracle_matches_nested_quad(l0, p0, x):
+    # the Gauss-between-zeros oracle against nested quad, where both reach p0
+    assert np.allclose(channel_ab_panels(l0, p0, x), channel_ab_quad(l0, p0, x), rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(l0=st.integers(1, 97), p0=st.integers(9, 60), log_x=st.floats(-2.0, 2.0),
+       tol=st.sampled_from([1e-6, 1e-9]))
+def test_error_bars_are_honest_at_high_p0(l0, p0, log_x, tol):
+    # x log-uniform on [1e-2, 1e2]; at p0 >= 9 a rule may fail to certify, but
+    # every value it returns is within its error bar
+    x = 10.0 ** log_x
+    beam = BeamParams(waist=1.0, l0=l0, p0=p0)
+    try:
+        cc = channel_ab(beam, r0_from_x(beam, x), tol)
+    except ConvergenceFailure:
+        return
+    ora_a, ora_b = channel_ab_panels(l0, p0, x)
+    assert 0.0 < cc.err_a <= tol
+    assert 0.0 < cc.err_b <= tol
+    assert abs(cc.a - ora_a) <= cc.err_a + 1e-13
+    assert abs(cc.b - ora_b) <= cc.err_b + 1e-13
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(l0=st.integers(1, 40), p0=st.integers(0, 3), x=st.floats(1e-3, 100.0),
        tol=st.sampled_from([1e-6, 1e-9, 1e-11]))
@@ -416,7 +444,7 @@ def test_channel_coefficients_in_range(l0, p0, x, tol):
     assert 0.0 < cc.err_b <= tol
 
 
-def test_rule_cache_carries_no_state(monkeypatch):
+def test_rule_cache_carries_no_state():
     # the rule tables change no result: cold and warm caches, and either order
     # of inputs that need different rules, give identical bits
     cases = ((1, 0.7), (40, 0.7), (10, 2.0))
@@ -428,10 +456,10 @@ def test_rule_cache_carries_no_state(monkeypatch):
 
     cold = {}
     for case in cases:
-        monkeypatch.setattr(turbulence, "_GAUSS", {})
-        monkeypatch.setattr(turbulence, "_RULES", {})
+        turbulence._gauss01.cache_clear()
+        turbulence._nodes.cache_clear()
         cold[case] = evaluate(*case)
-        assert len(turbulence._RULES) >= 2
+        assert turbulence._nodes.cache_info().currsize >= 2
     for order in (cases, cases[::-1]):
         assert {case: evaluate(*case) for case in order} == cold
 
@@ -452,38 +480,44 @@ def test_beam_rules_carry_no_state():
         assert [shared[case] for case in cases] == fresh
 
 
-def test_exponent_table_carries_no_state(monkeypatch):
+def test_exponent_table_carries_no_state():
     # the kernel exponent's angular factor, kept in the rule table of each
     # ladder step, changes no bit either: rebuilding the rule tables after a
     # warm call
     beam = BeamParams(waist=1.0, l0=10, p0=1)
     turb = r0_from_x(beam, 2.0)
     warm = channel_ab(beam, turb, 1e-11)
-    monkeypatch.setattr(turbulence, "_RULES", {})
+    turbulence._nodes.cache_clear()
     assert channel_ab(beam, turb, 1e-11) == warm
-    assert len(turbulence._RULES) >= 2
+    assert turbulence._nodes.cache_info().currsize >= 2
 
 
 def test_first_call_builds_only_the_rules_it_uses():
     # the rule tables fill per ladder step on first use: a fresh process
     # builds the Gauss rules and tables of the ladder steps it reaches, no
     # more, and a call that goes on past its first pair of steps builds the
-    # next step alone
+    # next step alone.  Asking for exactly those afterwards misses no cache
     code = ("from oamturb import turbulence as t\n"
+            "def sizes():\n"
+            "    print(t._gauss01.cache_info().currsize, t._nodes.cache_info().currsize)\n"
             "beam = t.BeamParams(1, 1)\n"
             "t.channel_ab(beam, t.r0_from_x(beam, 0.5), 1e-9)\n"
-            "print(sorted(t._GAUSS), sorted(t._RULES))\n"
+            "sizes()\n"
             "t.channel_ab(beam, t.r0_from_x(beam, 0.5), 1e-11)\n"
-            "print(sorted(t._GAUSS), sorted(t._RULES))")
-    assert fresh_python("-c", code).stdout.splitlines() == [
-        "[32, 45, 64, 90] [(32, 64), (45, 90)]",
-        "[32, 45, 64, 90, 128] [(32, 64), (45, 90), (64, 128)]"]
+            "sizes()\n"
+            "misses = t._gauss01.cache_info().misses, t._nodes.cache_info().misses\n"
+            "for n in (32, 45, 64, 90, 128):\n"
+            "    t._gauss01(n)\n"
+            "for i, n in ((0, 1), (1, 1), (0, 2), (2, 1)):\n"
+            "    t._nodes(i, n)\n"
+            "print(misses == (t._gauss01.cache_info().misses, t._nodes.cache_info().misses))")
+    assert fresh_python("-c", code).stdout.splitlines() == ["4 3", "5 4", "True"]
 
 
 def test_only_the_rule_tables_grow():
     # the module keeps no state keyed by beam, x or tol: after calls over
     # several of each, only the two rule tables have grown, and only by
-    # ladder steps
+    # ladder steps: at most 7 single steps and 6 pairs
     code = ("from oamturb import turbulence as t\n"
             "def sizes():\n"
             "    return {name: v.cache_info().currsize if hasattr(v, 'cache_info') else len(v)\n"
@@ -496,8 +530,8 @@ def test_only_the_rule_tables_grow():
             "    t.channel_ab(beam, t.r0_from_x(beam, x), tol)\n"
             "after = sizes()\n"
             "print(sorted(name for name in after if after[name] != before.get(name)))\n"
-            "print(len(t._RULES) > 2, set(t._RULES) <= set(t._RULE_SIZES))")
-    assert fresh_python("-c", code).stdout.split("\n")[:2] == ["['_GAUSS', '_RULES']", "True True"]
+            "print(2 < t._nodes.cache_info().currsize <= 13)")
+    assert fresh_python("-c", code).stdout.split("\n")[:2] == ["['_gauss01', '_nodes']", "True"]
 
 
 @pytest.mark.parametrize("l0, p0, x", [(40, 0, 1.0), (40, 0, 50.0), (10, 2, 20.0)])
