@@ -11,7 +11,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,25 +113,11 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-@dataclass
-class RunConfig:
-    """Merged beam/state/turbulence/run settings for one command."""
-
-    beam: BeamParams
-    werner: WernerParams
-    tol: float
-    turb: TurbulenceParams | None   # the point of channel/measures; None for grid commands
-    x_min: float
-    x_max: float
-    x_points: int
-    out: str | None
-    form: str | None
-    input: str | None
-    initial: tuple | None
-
-
-def build_config(args: argparse.Namespace, command: str) -> RunConfig:
-    # flags override the file
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings of args.command, flags over the config file, checked and
+    resolved: beam, werner, tol, turb (the point of channel and measures, None
+    for the grid commands), x_min, x_max, x_points, out, form, input, initial."""
+    command = args.command
     v = load_config_file(args.config) if args.config else {}
     v.update((key, val) for key, val in vars(args).items() if key in _KEYS and val is not None)
     for key in ("x", "x_min", "x_max", "tol", "cn2", "k", "path_length"):
@@ -197,14 +183,14 @@ def build_config(args: argparse.Namespace, command: str) -> RunConfig:
     if command == "sweep" and "out" not in v:
         raise ValueError("sweep requires an output path (--out)")
 
-    return RunConfig(
+    return argparse.Namespace(
         beam=beam, werner=werner, tol=tol, turb=turb,
         x_min=x_min, x_max=x_max, x_points=x_points,
         out=v.get("out"), form=form, input=v.get("input"), initial=initial,
     )
 
 
-def cmd_channel(cfg: RunConfig, stdout):
+def cmd_channel(cfg: argparse.Namespace, stdout):
     cc = channel_ab(cfg.beam, cfg.turb, cfg.tol)
     for key, val in (
         ("a", cc.a), ("b", cc.b), ("err_a", cc.err_a), ("err_b", cc.err_b),
@@ -214,7 +200,7 @@ def cmd_channel(cfg: RunConfig, stdout):
         print(f"{key}={fmt(val)}", file=stdout)
 
 
-def cmd_measures(cfg: RunConfig, stdout):
+def cmd_measures(cfg: argparse.Namespace, stdout):
     cc = channel_ab(cfg.beam, cfg.turb, cfg.tol)
     m = measure_triple(apply_channel(werner_like(cfg.werner), cc))
     for key, val in (
@@ -239,14 +225,17 @@ def csv_to_rows(path: str) -> list[SweepRow]:
         parts = ln.split(",")
         if len(parts) != len(_COLUMNS):
             raise ValueError(f"malformed sweep row: {ln!r}")
-        values = [column.type(part) for column, part in zip(_COLUMNS, parts)]
+        try:
+            values = [column.type(part) for column, part in zip(_COLUMNS, parts)]
+        except ValueError:
+            raise ValueError(f"invalid value in sweep row {n}: {ln!r}") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"non-finite value in sweep row {n}: {ln!r}")
         rows.append(SweepRow(*values))
     return rows
 
 
-def cmd_sweep(cfg: RunConfig, stdout):
+def cmd_sweep(cfg: argparse.Namespace, stdout):
     rows = sweep(cfg.beam, cfg.werner, np.linspace(cfg.x_min, cfg.x_max, cfg.x_points), cfg.tol)
     # write beside the target, then rename: an interrupted run never leaves
     # a truncated CSV at --out
@@ -262,7 +251,7 @@ def cmd_sweep(cfg: RunConfig, stdout):
     print(f"wrote {len(rows)} rows to {cfg.out}", file=stdout)
 
 
-def cmd_fit(cfg: RunConfig, stdout):
+def cmd_fit(cfg: argparse.Namespace, stdout):
     if cfg.input:
         rows = csv_to_rows(cfg.input)
     else:
@@ -281,7 +270,7 @@ def cmd_fit(cfg: RunConfig, stdout):
     print(f"iterations={res.iterations}", file=stdout)
 
 
-def cmd_esd(cfg: RunConfig, stdout):
+def cmd_esd(cfg: argparse.Namespace, stdout):
     res = find_esd(cfg.beam, cfg.werner, cfg.tol, x_max=cfg.x_max, x_min=cfg.x_min)
     change = find_sudden_change(cfg.beam, cfg.werner, cfg.tol, x_max=cfg.x_max, x_min=cfg.x_min)
     # both roots are bisected to width 10^-ROOT_DIGITS: print no digit below it
@@ -308,14 +297,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="oamturb",
         description="OAM photon-pair quantumness through Kolmogorov turbulence",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{doc}" for name, (_, doc) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, doc) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=doc)
-        sub.add_argument("--config", help="key=value config file with [beam]/[werner]/[turbulence]/[run] sections")
-        for key, (_, kind, text) in _KEYS.items():
-            choices = ("poly", "exp") if key == "form" else None
-            sub.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, help=text)
+    parser.add_argument("command", choices=_COMMANDS, help="what to compute (see commands below)")
+    parser.add_argument("--config", help="key=value config file with [beam]/[werner]/[turbulence]/[run] sections")
+    for key, (_, kind, text) in _KEYS.items():
+        choices = ("poly", "exp") if key == "form" else None
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, help=text)
     args = parser.parse_args(argv)
     for key in _KEYS:
         if getattr(args, key) == []:  # argparse reads "--x=--" as no value at all
@@ -323,7 +312,7 @@ def main(argv=None) -> int:
 
     # the one map from failure to exit code: bad input 2, numerics 3
     try:
-        _COMMANDS[args.command][0](build_config(args, args.command), sys.stdout)
+        _COMMANDS[args.command][0](build_config(args), sys.stdout)
     except ConvergenceFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

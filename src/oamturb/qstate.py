@@ -74,6 +74,9 @@ class ChannelCoefficients:
         # negated, so that a NaN b fails it
         if not self.b <= self.a * (1.0 + 1e-10):
             raise ValueError(f"crosstalk exceeds survival: a = {self.a}, b = {self.b}")
+        if not (self.err_a >= 0.0 and self.err_b >= 0.0):
+            raise ValueError(f"error bounds must be non-negative, got err_a = {self.err_a}, "
+                             f"err_b = {self.err_b}")
 
 
 def werner_like(w: WernerParams) -> XState:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lgmath import BeamParams
-from .measures import concurrence_analytic, measure_triple
-from .qstate import ChannelCoefficients, WernerParams, XState, apply_channel, werner_like
+from .measures import concurrence_analytic, lqu, measure_triple
+from .qstate import ChannelCoefficients, WernerParams, apply_channel, werner_like
 from .turbulence import ConvergenceFailure, _BeamRules, channel_ab, r0_from_x
 
 # Default initial guesses: the published fitted constants of each form.
@@ -61,12 +61,10 @@ class FitResult:
     iterations: int
 
 
-def _row_at(beam: BeamParams, state: XState, x: float, tol: float,
-            rules: _BeamRules) -> SweepRow:
-    cc = channel_ab(beam, r0_from_x(beam, x), tol, rules=rules)
-    m = measure_triple(apply_channel(state, cc))
-    return SweepRow(x=x, a=cc.a, b=cc.b, concurrence=m.concurrence,
-                    coherence=m.coherence_rel_ent, lqu=m.lqu, lqu_branch=m.lqu_branch)
+def _channel_of_x(beam: BeamParams, tol: float):
+    """The channel of beam at strength x, every call sharing one _BeamRules."""
+    rules = _BeamRules(beam)
+    return lambda x: channel_ab(beam, r0_from_x(beam, x), tol, rules=rules)
 
 
 def sweep(beam: BeamParams, w: WernerParams, x_grid, tol: float = 1e-9) -> list[SweepRow]:
@@ -74,8 +72,14 @@ def sweep(beam: BeamParams, w: WernerParams, x_grid, tol: float = 1e-9) -> list[
     xs = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("x grid must be sorted ascending")
-    state, rules = werner_like(w), _BeamRules(beam)
-    return [_row_at(beam, state, x, tol, rules) for x in xs]
+    state, at = werner_like(w), _channel_of_x(beam, tol)
+    rows = []
+    for x in xs:
+        cc = at(x)
+        m = measure_triple(apply_channel(state, cc))
+        rows.append(SweepRow(x=x, a=cc.a, b=cc.b, concurrence=m.concurrence,
+                             coherence=m.coherence_rel_ent, lqu=m.lqu, lqu_branch=m.lqu_branch))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,10 @@ class EsdResult:
 
 def _bisect(at, keeps, lo, hi, width, tol):
     """Midpoint of the bracket lo = (x, at(x)), hi = (x, at(x)) once halved below
-    width or to adjacent floats; lo moves up where keeps(at(mid)).  at(x) has a
-    and b to tol, and b/a rises strictly in x: a probe whose b/a leaves the ends'
-    range by more than their error bounds 2 tol/a raises ConvergenceFailure."""
+    width or to adjacent floats; lo moves up where keeps(at(mid)).  at(x) is the
+    channel at x, a and b to tol, and b/a rises strictly in x: a probe whose
+    b/a leaves the ends' range by more than their error bounds 2 tol/a raises
+    ConvergenceFailure."""
     (x_lo, v_lo), (x_hi, v_hi) = lo, hi
     while x_hi - x_lo > width and x_lo < (mid := 0.5 * (x_lo + x_hi)) < x_hi:
         v = at(mid)
@@ -121,8 +126,7 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
         raise ValueError(f"invalid ESD range [{x_min}, {x_max}]")
     if concurrence_analytic(w, ChannelCoefficients(1.0, 0.0)) <= 0.0:
         return EsdResult(None, "zero at origin")
-    rules = _BeamRules(beam)
-    at = lambda x: channel_ab(beam, r0_from_x(beam, x), tol, rules=rules)
+    at = _channel_of_x(beam, tol)
     alive = lambda cc: concurrence_analytic(w, cc) > 0.0
     lo, hi = (x_min, at(x_min)), (x_max, at(x_max))
     if not alive(lo[1]):
@@ -139,10 +143,10 @@ def find_sudden_change(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     x: one bisection, as in find_esd (ConvergenceFailure if b/a falls)."""
     if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid sudden-change range [{x_min}, {x_max}]")
-    state, rules = werner_like(w), _BeamRules(beam)
-    at = lambda x: _row_at(beam, state, x, tol, rules)
+    state, at = werner_like(w), _channel_of_x(beam, tol)
     lo, hi = (x_min, at(x_min)), (x_max, at(x_max))
-    before = lambda r: r.lqu_branch == lo[1].lqu_branch
+    first = lqu(apply_channel(state, lo[1]))[1]
+    before = lambda cc: lqu(apply_channel(state, cc))[1] == first
     return None if before(hi[1]) else _bisect(at, before, lo, hi, 10.0 ** -ROOT_DIGITS, tol)
 
 
@@ -173,9 +177,10 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
     lo, hi = rows[change], rows[change + 1]
     if beam is None:
         return 0.5 * (lo.x + hi.x)
-    state, rules = werner_like(w), _BeamRules(beam)
-    return _bisect(lambda x: _row_at(beam, state, x, tol, rules),
-                   lambda r: r.lqu_branch == lo.lqu_branch, (lo.x, lo), (hi.x, hi), refine_to, tol)
+    state = werner_like(w)
+    return _bisect(_channel_of_x(beam, tol),
+                   lambda cc: lqu(apply_channel(state, cc))[1] == lo.lqu_branch,
+                   (lo.x, lo), (hi.x, hi), refine_to, tol)
 
 
 # --- model forms: values and a Jacobian from one masked power per trial ---
@@ -267,9 +272,9 @@ def lm_least_squares(form, x, y, p0):
 
     Returns (params, rss, converged, iterations); a step that raises the rss
     is rejected and re-damped, so the rss never increases.
-    Raises ValueError if the rss at p0 is not finite.
+    Raises ValueError if an x is NaN or negative or the rss at p0 is not finite.
     """
-    ax = _Abscissa(x)
+    ax = _checked("lm_least_squares", x)
     p = np.asarray(p0, dtype=float).copy()
     f, jac = form(ax, p)
     resid = f - y

@@ -564,6 +564,9 @@ BAD_INPUTS = {
     "six_column_row": (["fit", "--form", "poly", "--input", "d.csv"],
                        {"d.csv": CSV_HEADER + "\n0,1,0,1,1,1\n"},
                        "error: malformed sweep row: '0,1,0,1,1,1'"),
+    "float_branch": (["fit", "--form", "poly", "--input", "d.csv"],
+                     {"d.csv": CSV_HEADER + "\n0,1,0,1,1,1,1\n0.05,1,0,1,1,1,1.0\n"},
+                     "error: invalid value in sweep row 2: '0.05,1,0,1,1,1,1.0'"),
 }
 
 
@@ -624,7 +627,8 @@ SETTINGS = {
 class TestSettingsTable:
     @pytest.fixture
     def resolve(self, monkeypatch, capsys):
-        """Run an argv through main and return the RunConfig its command receives."""
+        """Run an argv through main and return the resolved settings (an
+        argparse.Namespace) its command receives."""
         got = []
         for name, (_, doc) in cli._COMMANDS.items():
             monkeypatch.setitem(cli._COMMANDS, name,
@@ -637,6 +641,19 @@ class TestSettingsTable:
 
     def test_covers_every_key(self):
         assert set(SETTINGS) == set(cli._KEYS)
+
+    def test_flags_may_precede_the_command(self, resolve):
+        assert resolve(["--x", "0.5", "channel"]) == resolve(["channel", "--x", "0.5"])
+
+    def test_help_lists_every_command_and_setting(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        for name, (_, doc) in cli._COMMANDS.items():
+            assert f"  {name:<10}{doc}\n" in out
+        for key in ["config", *cli._KEYS]:
+            assert f"--{key.replace('_', '-')} " in out
 
     @pytest.mark.parametrize("key", SETTINGS)
     def test_flag_and_file_resolve_alike(self, key, resolve, tmp_path):

@@ -203,6 +203,19 @@ class TestFindSuddenChange:
         assert len(calls) <= 2 + math.ceil(math.log2(x_max / 1e-9))
         assert x == pytest.approx(0.134837, abs=1e-6)
 
+    def test_probes_read_only_the_branch(self, monkeypatch):
+        # every probe of both root searches is the channel alone and its LQU
+        # branch; no probe evaluates the three measures of a sweep row
+        w = WernerParams(0.8, math.pi / 3)
+        rows = sweep(BEAM1, w, np.linspace(0.0, 1.0, 21), tol=1e-9)
+        calls = []
+        real = sweepfit.measure_triple
+        monkeypatch.setattr(sweepfit, "measure_triple", lambda s: calls.append(s) or real(s))
+        # pinned roots, each to its bisection width
+        assert find_sudden_change(BEAM1, w, tol=1e-9) == pytest.approx(0.208612090, abs=1e-9)
+        assert detect_sudden_change(rows, BEAM1, w, tol=1e-9) == pytest.approx(0.2086425781, abs=1e-9)
+        assert calls == []
+
     def test_ratio_at_the_change_is_independent_of_l0(self):
         # the branch is a function of t = b/a alone, so every l0 switches at the
         # same t; the root also agrees with the grid-bracketed bisection
@@ -409,6 +422,16 @@ class TestFits:
                        ([0.5, -1e-300], "-1e-300 at index 1"), (-2.0, "-2 at index 0")):
             with pytest.raises(ValueError, match=f"{form.__name__} requires x >= 0, got x = {bad}"):
                 form(np.array(x), params)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_lm_rejects_nan_or_negative_x(self, bad):
+        # the masked power would read the bad x as 0 and fit the wrong curve
+        xs = np.linspace(0.0, 3.0, 9)
+        ys = poly_form(xs, POLY_FORM_INITIAL)
+        xs[3] = bad
+        with pytest.raises(ValueError, match=f"lm_least_squares requires x >= 0, got x = {bad:g} "
+                                             "at index 3"):
+            lm_least_squares(sweepfit._poly_eval, xs, ys, POLY_FORM_INITIAL)
 
     def test_forms_at_infinity_are_the_plateau(self):
         A, p, B, C = POLY_FORM_INITIAL

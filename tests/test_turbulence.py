@@ -619,6 +619,14 @@ class TestChannelCoefficients:
         with pytest.raises(ValueError, match=f"a = {a}, b = {b}"):
             ChannelCoefficients(a, b)
 
+    @pytest.mark.parametrize("err_a, err_b", [(0.0, -1.0), (-1e-300, 0.0), (math.nan, 0.0),
+                                              (0.0, math.nan)])
+    def test_error_bounds_are_non_negative(self, err_a, err_b):
+        # a negative or NaN error bar cannot hold for any value
+        with pytest.raises(ValueError, match=f"err_a = {err_a}, err_b = {err_b}"):
+            ChannelCoefficients(1.0, 0.0, err_a, err_b)
+        ChannelCoefficients(1.0, 0.0, 0.0, math.inf)
+
     def test_turbulence_params_validation(self):
         with pytest.raises(ValueError):
             TurbulenceParams(0.0)
