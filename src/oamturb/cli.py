@@ -7,11 +7,9 @@ identical configs produce byte-identical output.
 """
 
 import argparse
-import configparser
 import math
 import os
 import sys
-from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +40,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# the sweep CSV has one column per SweepRow field, in field order
-_COLUMNS = fields(SweepRow)
-CSV_HEADER = ",".join(column.name for column in _COLUMNS)
+# the sweep CSV has one column per SweepRow field, in field order, read back by its type
+CSV_HEADER = ",".join(SweepRow._fields)
+_COLUMN_TYPES = tuple(SweepRow.__annotations__.values())
 
 
 def fmt(v) -> str:
@@ -87,6 +85,7 @@ _KEYS = {
 
 def load_config_file(path: str) -> dict:
     """Flat key=value config with [beam]/[werner]/[turbulence]/[run] sections."""
+    import configparser  # here, so that a run without --config does not load it
     parser = configparser.ConfigParser(interpolation=None)  # values are literal: "100%.csv"
     try:
         read = parser.read(path)
@@ -211,7 +210,7 @@ def cmd_measures(cfg: argparse.Namespace, stdout):
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER] + [",".join(map(fmt, astuple(r))) for r in rows]
+    lines = [CSV_HEADER] + [",".join(map(fmt, r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -223,10 +222,10 @@ def csv_to_rows(path: str) -> list[SweepRow]:
     rows = []
     for n, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
-        if len(parts) != len(_COLUMNS):
+        if len(parts) != len(_COLUMN_TYPES):
             raise ValueError(f"malformed sweep row: {ln!r}")
         try:
-            values = [column.type(part) for column, part in zip(_COLUMNS, parts)]
+            values = [kind(part) for kind, part in zip(_COLUMN_TYPES, parts)]
         except ValueError:
             raise ValueError(f"invalid value in sweep row {n}: {ln!r}") from None
         if not all(map(math.isfinite, values)):

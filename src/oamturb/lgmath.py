@@ -6,35 +6,34 @@ factors (Gouy phase, curvature) enter the model.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from .qstate import _checked_record
 
-@dataclass(frozen=True)
-class BeamParams:
+
+class BeamParams(_checked_record("BeamParams", "waist l0 p0")):
     """LG mode description: waist, azimuthal and radial quantum numbers.
 
     The qubit lives in the {+l0, -l0} OAM subspace, so |l0| >= 1.
     """
 
-    waist: float = 1.0
-    l0: int = 1
-    p0: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.l0, numbers.Integral) and isinstance(self.p0, numbers.Integral)):
-            raise ValueError(f"beam indices must be integers, got l0={self.l0!r}, p0={self.p0!r}")
-        if not 0 < self.waist < math.inf:
-            raise ValueError(f"beam waist must be positive and finite, got {self.waist}")
-        if abs(self.l0) < 1:
+    def __new__(cls, waist: float = 1.0, l0: int = 1, p0: int = 0):
+        if not (isinstance(l0, numbers.Integral) and isinstance(p0, numbers.Integral)):
+            raise ValueError(f"beam indices must be integers, got l0={l0!r}, p0={p0!r}")
+        if not 0 < waist < math.inf:
+            raise ValueError(f"beam waist must be positive and finite, got {waist}")
+        if abs(l0) < 1:
             raise ValueError("azimuthal index l0 = 0 gives no two-dimensional OAM subspace")
-        if abs(self.l0) > 2 ** 53:
+        if abs(l0) > 2 ** 53:
             # the beam math runs on float(l0), which holds l0 exactly only this far
             raise ValueError("azimuthal index |l0| must be at most 2**53, "
                              "where floats hold integers exactly")
-        if self.p0 < 0:
-            raise ValueError(f"radial index p0 must be non-negative, got {self.p0}")
+        if p0 < 0:
+            raise ValueError(f"radial index p0 must be non-negative, got {p0}")
+        return tuple.__new__(cls, (waist, l0, p0))
 
 
 def laguerre(p: int, alpha: int, x):

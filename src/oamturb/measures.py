@@ -6,15 +6,14 @@ uncertainty (LQU).
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qstate import ChannelCoefficients, WernerParams, XState, eigenvalues_x
 
 _TIE_BAND = 1e-12
 
 
-@dataclass(frozen=True)
-class MeasureTriple:
+class MeasureTriple(NamedTuple):
     """The three quantifiers of one state, plus the index of the maximal
     LQU eigenvalue branch (for sudden-change detection)."""
 

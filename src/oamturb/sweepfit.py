@@ -6,7 +6,7 @@ least-squares fits of the two universal decay forms
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ class GridMismatch(ValueError):
     """Sweeps handed to collapse_check do not share the same x grid."""
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sampled point of a sweep: strength, channel coefficients, measures."""
 
     x: float
@@ -52,13 +51,18 @@ class SweepRow:
     lqu_branch: int
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     form: str                # "poly_form" or "exp_form"
     params: np.ndarray       # poly: (A, p, B, C); exp: (G, alpha, beta, c)
     rss: float
     converged: bool
     iterations: int
+
+
+def _check_tol(tol):
+    # finite too: an infinite tol widens _bisect's monotone guard until it never fires
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _channel_of_x(beam: BeamParams, tol: float):
@@ -76,14 +80,12 @@ def sweep(beam: BeamParams, w: WernerParams, x_grid, tol: float = 1e-9) -> list[
     rows = []
     for x in xs:
         cc = at(x)
-        m = measure_triple(apply_channel(state, cc))
-        rows.append(SweepRow(x=x, a=cc.a, b=cc.b, concurrence=m.concurrence,
-                             coherence=m.coherence_rel_ent, lqu=m.lqu, lqu_branch=m.lqu_branch))
+        # a MeasureTriple's fields are the row's last four, in order
+        rows.append(SweepRow(x, cc.a, cc.b, *measure_triple(apply_channel(state, cc))))
     return rows
 
 
-@dataclass(frozen=True)
-class EsdResult:
+class EsdResult(NamedTuple):
     """Entanglement-sudden-death threshold, or the reason there is none."""
 
     x_star: float | None
@@ -120,8 +122,7 @@ def find_esd(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     "zero at origin" (no entanglement to lose), "zero at x_min" or
     "no death in range".
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid ESD range [{x_min}, {x_max}]")
     if concurrence_analytic(w, ChannelCoefficients(1.0, 0.0)) <= 0.0:
@@ -141,6 +142,7 @@ def find_sudden_change(beam: BeamParams, w: WernerParams, tol: float = 1e-9,
     """x in (x_min, x_max) where the LQU branch switches, or None if both ends
     share one.  The branch switches once at most in b/a, which rises strictly in
     x: one bisection, as in find_esd (ConvergenceFailure if b/a falls)."""
+    _check_tol(tol)
     if not 0.0 <= x_min < x_max < math.inf:
         raise ValueError(f"invalid sudden-change range [{x_min}, {x_max}]")
     state, at = werner_like(w), _channel_of_x(beam, tol)
@@ -164,6 +166,7 @@ def detect_sudden_change(rows: list[SweepRow], beam: BeamParams | None = None,
         raise ValueError("refining a sudden change needs both beam and w")
     if not 0.0 < refine_to < math.inf:
         raise ValueError(f"refine_to must be positive and finite, got {refine_to}")
+    _check_tol(tol)
     steps = [b.x - a.x for a, b in zip(rows, rows[1:])]
     # each step alone: min() and max() would skip a nan step by its position
     bad = [step for step in steps if not 0.0 <= step <= SUDDEN_CHANGE_SPACING + 1e-12]

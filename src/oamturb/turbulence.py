@@ -34,12 +34,11 @@ product.
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lgmath import BeamParams, _laguerre, phase_correlation_length
-from .qstate import ChannelCoefficients
+from .qstate import ChannelCoefficients, _checked_record
 
 # Kolmogorov phase structure function constant: D = 6.88 (d/r0)^(5/3)
 STRUCTURE_CONSTANT = 6.88
@@ -82,16 +81,16 @@ class ConvergenceFailure(RuntimeError):
     """Quadrature could not reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class TurbulenceParams:
+class TurbulenceParams(_checked_record("TurbulenceParams", "fried_r0")):
     """Turbulence strength via the Fried parameter r0 (same length unit as the
     beam waist).  ``math.inf`` encodes the no-turbulence limit."""
 
-    fried_r0: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.fried_r0 > 0:
-            raise ValueError(f"Fried parameter must be positive, got {self.fried_r0}")
+    def __new__(cls, fried_r0: float):
+        if not fried_r0 > 0:
+            raise ValueError(f"Fried parameter must be positive, got {fried_r0}")
+        return tuple.__new__(cls, (fried_r0,))
 
     @classmethod
     def from_physical(cls, Cn2: float, k: float, L: float) -> "TurbulenceParams":

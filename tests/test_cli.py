@@ -679,6 +679,13 @@ def test_runtime_does_not_import_scipy():
     # numpy is the only runtime dependency; scipy is for the tests' oracles
     code = "import sys, oamturb, oamturb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert fresh_python("-c", code).stdout.strip() == "[]"
+    # a CLI run without --config loads neither dataclasses nor configparser;
+    # -X importtime lists every module the process imports
+    run = fresh_python("-X", "importtime", "-m", "oamturb", "channel", "--x", "0.5")
+    loaded = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "oamturb.cli" in loaded
+    assert not loaded & {"dataclasses", "configparser"}
 
 
 def test_state_path_does_not_import_numpy():
@@ -686,10 +693,10 @@ def test_state_path_does_not_import_numpy():
     code = ("import sys, oamturb as o\n"
             "w = o.WernerParams(0.8, 1.0, 0.5); cc = o.ChannelCoefficients(0.6, 0.2)\n"
             "o.measure_triple(o.apply_channel(o.werner_like(w), cc)); o.concurrence_analytic(w, cc)\n"
-            "print('numpy' in sys.modules)\n"
+            "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
             "o.channel_ab\n"
             "print('numpy' in sys.modules)")
-    assert fresh_python("-c", code).stdout.split() == ["False", "True"]
+    assert fresh_python("-c", code).stdout.split() == ["False", "False", "True"]
 
 
 def test_every_public_name_resolves():

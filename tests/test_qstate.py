@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import populations, random_x_state, to_dense
+from oamturb.lgmath import BeamParams
 from oamturb.measures import concurrence_analytic
 from oamturb.qstate import (
     WernerParams,
@@ -12,7 +15,7 @@ from oamturb.qstate import (
     eigenvalues_x,
     werner_like,
 )
-from oamturb.turbulence import ChannelCoefficients
+from oamturb.turbulence import ChannelCoefficients, TurbulenceParams
 
 BELL = WernerParams(gamma=1.0, theta=math.pi / 2)
 
@@ -214,3 +217,30 @@ class TestXStateValidation:
     def test_rejects_nan(self, entries):
         with pytest.raises(ValueError):
             XState(*entries)
+
+
+# (record type, valid fields, a field change its check rejects)
+CHECKED_RECORDS = [
+    (BeamParams, (1.3, 4, 2), {"l0": 0}),
+    (TurbulenceParams, (0.5,), {"fried_r0": -1.0}),
+    (WernerParams, (0.8, 1.0, 0.5), {"gamma": 1.5}),
+    (XState, (0.1, 0.4, 0.3, 0.2, 0.1j, 0.2 + 0j), {"d11": -0.5}),
+    (ChannelCoefficients, (0.6, 0.2, 1e-12, 2e-12), {"a": -1.0}),
+]
+
+
+@pytest.mark.parametrize("cls, values, bad", CHECKED_RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in CHECKED_RECORDS])
+def test_every_construction_path_checks_the_record(cls, values, bad):
+    record = cls(*values)
+    assert record == cls(**dict(zip(cls._fields, values))) == values
+    assert type(cls._make(values)) is cls
+    # _replace builds through _make, which namedtuple would build with tuple.__new__
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert type(twin) is cls and twin == record
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], values[0])
+    with pytest.raises(AttributeError):
+        record.extra = 0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -106,10 +105,19 @@ class TestFindEsd:
         assert res.reason == "zero at origin"
 
     @pytest.mark.parametrize("w", [BELL, WernerParams(0.2, math.pi / 2)], ids=["bell", "separable"])
-    def test_rejects_bad_tolerance_before_any_shortcut(self, w):
-        # the separable state takes the "zero at origin" shortcut, which makes no channel call
-        with pytest.raises(ValueError, match="tolerance must be positive, got -1"):
-            find_esd(BEAM1, w, tol=-1)
+    def test_rejects_bad_tolerance_before_any_shortcut(self, w, monkeypatch):
+        # the separable state takes the "zero at origin" shortcut, which makes no channel call;
+        # an infinite tol would widen the bisection's monotone guard until it never fires
+        def channel_ab(*args, **kwargs):
+            raise AssertionError("channel called before the tolerance was checked")
+
+        monkeypatch.setattr(sweepfit, "channel_ab", channel_ab)
+        searches = (find_esd, find_sudden_change,
+                    lambda beam, w, tol: detect_sudden_change([], beam, w, tol))
+        for tol in (-1, math.inf, math.nan):
+            for search in searches:
+                with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tol}"):
+                    search(BEAM1, w, tol=tol)
 
     def test_no_death_in_short_range(self):
         res = find_esd(BEAM1, BELL, tol=1e-8, x_max=0.2)
@@ -275,7 +283,7 @@ class TestDetectSuddenChange:
         # skip the nan steps
         w = WernerParams(1.0, math.pi / 3)
         rows = sweep(BEAM1, w, np.linspace(0.0, 1.0, 21), tol=1e-9)
-        rows[3] = dataclasses.replace(rows[3], x=math.nan)
+        rows[3] = rows[3]._replace(x=math.nan)
         with pytest.raises(ValueError, match="ascending x steps .* got a step of nan"):
             detect_sudden_change(rows, **context)
 
@@ -299,7 +307,7 @@ class TestDetectSuddenChange:
         rows = sweep(BEAM1, w, np.linspace(0.0, 1.0, 21), tol=1e-9)
         i = next(i for i, (r0, r1) in enumerate(zip(rows, rows[1:]))
                  if r0.lqu_branch != r1.lqu_branch)
-        rows[i + 1] = dataclasses.replace(rows[i + 1], b=rows[i + 1].a * rows[i].b / rows[i].a)
+        rows[i + 1] = rows[i + 1]._replace(b=rows[i + 1].a * rows[i].b / rows[i].a)
         with pytest.raises(ConvergenceFailure, match="not monotone"):
             detect_sudden_change(rows, BEAM1, w, tol=1e-9)
 
@@ -410,7 +418,7 @@ class TestFits:
     @pytest.mark.parametrize("fit", [fit_poly_form, fit_exp_form])
     def test_negative_x_rejected(self, fit):
         rows = synthetic_rows()
-        rows[5] = dataclasses.replace(rows[5], x=-0.25)
+        rows[5] = rows[5]._replace(x=-0.25)
         with pytest.raises(ValueError, match=r"x >= 0, got x = -0.25 in row 6"):
             fit(rows)
 
@@ -577,7 +585,7 @@ class TestFitBookkeeping:
         # nan at the origin row would otherwise pass the origin check, and nan
         # x would be read as x = 0 by the masked power
         rows = synthetic_rows()
-        rows[row] = dataclasses.replace(rows[row], **{"x" if name == "x" else y_field: value})
+        rows[row] = rows[row]._replace(**{"x" if name == "x" else y_field: value})
         with pytest.raises(ValueError, match=f"finite {name}, got {name} = {value} in row {row + 1}"):
             fit(rows)
 
@@ -602,7 +610,7 @@ class TestCollapseCheck:
             collapse_check([synthetic_rows(), synthetic_rows(np.linspace(0, 3, 31))])
         rows = synthetic_rows()
         with pytest.raises(GridMismatch):
-            collapse_check([rows, [*rows[:5], dataclasses.replace(rows[5], x=math.nan), *rows[6:]]])
+            collapse_check([rows, [*rows[:5], rows[5]._replace(x=math.nan), *rows[6:]]])
 
     @pytest.mark.parametrize("curves", [[[], []], [[]]], ids=["two", "one"])
     def test_empty_sweeps_rejected(self, curves):
