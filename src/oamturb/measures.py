@@ -8,7 +8,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .qstate import ChannelCoefficients, WernerParams, XState, eigenvalues_x
+from .qstate import _POS_TOL, ChannelCoefficients, WernerParams, XState
 
 _TIE_BAND = 1e-12
 
@@ -26,9 +26,7 @@ class MeasureTriple(NamedTuple):
 def concurrence_x(s: XState) -> float:
     """Wootters concurrence of an X state:
     2 max{0, |c14| - sqrt(d22 d33), |c23| - sqrt(d11 d44)}."""
-    inner = abs(s.c14) - math.sqrt(max(s.d22 * s.d33, 0.0))
-    outer = abs(s.c23) - math.sqrt(max(s.d11 * s.d44, 0.0))
-    return 2.0 * max(0.0, inner, outer)
+    return measure_triple(s).concurrence
 
 
 def concurrence_analytic(w: WernerParams, cc: ChannelCoefficients) -> float:
@@ -40,8 +38,9 @@ def concurrence_analytic(w: WernerParams, cc: ChannelCoefficients) -> float:
 
 
 def von_neumann_entropy(eigs) -> float:
-    """Entropy -sum l log2 l in bits, with 0 log 0 = 0; negative eigenvalues
-    count as zero; a NaN eigenvalue raises."""
+    """Entropy -sum l log2 l in bits, with 0 log 0 = 0.  An entry in
+    [-1e-12, 0], the round-off floor that XState and eigenvalues_x allow,
+    counts as zero; an entry below it, a NaN, or a sum away from 1 raises."""
     total = entropy = 0.0
     for v in eigs:
         v = float(v)
@@ -50,6 +49,8 @@ def von_neumann_entropy(eigs) -> float:
             entropy -= v * math.log2(v)
         elif math.isnan(v):
             raise ValueError("NaN eigenvalue, not a density spectrum")
+        elif v < -_POS_TOL:
+            raise ValueError(f"eigenvalue {v} below -{_POS_TOL}, not a density spectrum")
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"eigenvalues sum to {total}, not a density spectrum")
     return entropy
@@ -58,9 +59,7 @@ def von_neumann_entropy(eigs) -> float:
 def rel_entropy_coherence(s: XState) -> float:
     """Relative entropy of coherence S(rho_diag) - S(rho), the entropy cost of
     deleting the off-diagonal elements."""
-    s_diag = von_neumann_entropy((s.d11, s.d22, s.d33, s.d44))
-    s_full = von_neumann_entropy(eigenvalues_x(s))
-    return max(0.0, s_diag - s_full)
+    return measure_triple(s).coherence_rel_ent
 
 
 def block_sqrt(p: float, q: float, c: complex) -> tuple[float, float, complex]:
@@ -84,8 +83,9 @@ def lqu(s: XState) -> tuple[float, int]:
     Eigenvalues within 1e-12 of the maximum tie and resolve to the lowest
     axis.
     """
-    r11, r44, r14 = block_sqrt(s.d11, s.d44, s.c14)
-    r22, r33, r23 = block_sqrt(s.d22, s.d33, s.c23)
+    d11, d22, d33, d44, c14, c23 = s
+    r11, r44, r14 = block_sqrt(d11, d44, c14)
+    r22, r33, r23 = block_sqrt(d22, d33, c23)
     m14, m23 = abs(r14), abs(r23)
     w_zz = r11 * r11 + r22 * r22 + r33 * r33 + r44 * r44 - 2.0 * (m14 * m14 + m23 * m23)
     split = 4.0 * m14 * m23
@@ -95,17 +95,48 @@ def lqu(s: XState) -> tuple[float, int]:
     elif 2.0 * split <= _TIE_BAND:
         branch = 1
     else:
-        psi = 0.5 * (cmath.phase(s.c14) + cmath.phase(s.c23))
+        psi = 0.5 * (cmath.phase(c14) + cmath.phase(c23))
         branch = 1 if abs(math.cos(psi)) >= abs(math.sin(psi)) else 2
     return min(1.0, max(0.0, 1.0 - max(w_zz, w_xy))), branch
 
 
 def measure_triple(s: XState) -> MeasureTriple:
-    """All three quantifiers of one X state."""
+    """All three quantifiers of one X state, in one pass over its fields.
+
+    The concurrence is concurrence_x's formula, and the entropy of coherence
+    is von_neumann_entropy of the populations less that of eigenvalues_x(s),
+    each written out here in the same operation order, with the same checks;
+    the LQU comes from lqu.
+    """
+    d11, d22, d33, d44, c14, c23 = s
+    m14, m23 = abs(c14), abs(c23)
+    concurrence = 2.0 * max(0.0, m14 - math.sqrt(max(d22 * d33, 0.0)),
+                            m23 - math.sqrt(max(d11 * d44, 0.0)))
+    # the block eigenvalues m +/- h; below the floor raises, within it counts as zero
+    h_outer = math.hypot(0.5 * (d11 - d44), m14)
+    h_inner = math.hypot(0.5 * (d22 - d33), m23)
+    m_outer = 0.5 * (d11 + d44)
+    m_inner = 0.5 * (d22 + d33)
+    eigs = (m_outer + h_outer, m_outer - h_outer, m_inner + h_inner, m_inner - h_inner)
+    if min(eigs) < -_POS_TOL:
+        raise ValueError(f"X state eigenvalue below -{_POS_TOL}: {min(eigs)}")
+    # the populations' entropy, then the spectrum's: after both passes the
+    # swap leaves them in s_diag and s_full
+    s_diag = s_full = 0.0
+    log2 = math.log2
+    for spectrum in ((d11, d22, d33, d44), eigs):
+        total = entropy = 0.0
+        for v in spectrum:
+            if v > 0.0:
+                total += v
+                entropy -= v * log2(v)
+            elif math.isnan(v):
+                raise ValueError("NaN eigenvalue, not a density spectrum")
+            elif v < -_POS_TOL:
+                raise ValueError(f"eigenvalue {v} below -{_POS_TOL}, not a density spectrum")
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"eigenvalues sum to {total}, not a density spectrum")
+        s_diag, s_full = s_full, entropy
     value, branch = lqu(s)
-    return MeasureTriple(
-        concurrence=concurrence_x(s),
-        coherence_rel_ent=rel_entropy_coherence(s),
-        lqu=value,
-        lqu_branch=branch,
-    )
+    # float(), as von_neumann_entropy's, keeps numpy-scalar fields from leaking
+    return MeasureTriple(concurrence, float(max(0.0, s_diag - s_full)), value, branch)

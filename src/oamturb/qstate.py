@@ -85,16 +85,11 @@ def werner_like(w: WernerParams) -> XState:
     The white-noise term contributes (1-gamma)/4 to the diagonal only; the
     coherence is c23 = (gamma/2) e^{-i phi} sin(theta).
     """
-    e = (1.0 - w.gamma) / 4.0
-    half = 0.5 * w.theta
-    return XState(
-        d11=e,
-        d22=e + w.gamma * math.cos(half) ** 2,
-        d33=e + w.gamma * math.sin(half) ** 2,
-        d44=e,
-        c14=0j,
-        c23=0.5 * w.gamma * cmath.exp(-1j * w.phi) * math.sin(w.theta),
-    )
+    gamma, theta, phi = w
+    e = (1.0 - gamma) / 4.0
+    half = 0.5 * theta
+    return XState(e, e + gamma * math.cos(half) ** 2, e + gamma * math.sin(half) ** 2, e,
+                  0j, 0.5 * gamma * cmath.exp(-1j * phi) * math.sin(theta))
 
 
 def apply_channel(s: XState, cc: ChannelCoefficients) -> XState:

@@ -1,9 +1,10 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -37,6 +38,12 @@ from oamturb.turbulence import ChannelCoefficients
 
 BELL = WernerParams(gamma=1.0, theta=math.pi / 2)
 MIXED = WernerParams(gamma=0.0, theta=1.0)
+NEAR_TIES = [
+    # W_zz above the xy eigenvalues by about 1.6e-13
+    XState(0.25 + 2e-7, 0.25, 0.25 - 2e-7, 0.25),
+    # xy eigenvalues 8e-14 apart, the larger one along y
+    XState(0.25, 0.25, 0.25, 0.25, 1e-7j, 1e-7j),
+]
 
 
 def random_cc(rng):
@@ -97,8 +104,14 @@ class TestEntropy:
         assert von_neumann_entropy([0.5, 0.5, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_non_spectrum(self):
-        with pytest.raises(ValueError):
-            von_neumann_entropy([0.5, 0.4])
+        # a negative entry must not be skipped into a spectrum that sums to 1
+        for eigs in ([0.5, 0.4], [1.0, -5.0], [0.5, 0.5, -math.inf], [0.5, 0.5, -2e-12]):
+            with pytest.raises(ValueError):
+                von_neumann_entropy(eigs)
+
+    def test_round_off_below_zero_counts_as_zero(self):
+        # down to the -1e-12 floor of XState and eigenvalues_x
+        assert von_neumann_entropy([0.5, 0.5, -1e-12]) == 1.0
 
     def test_rejects_nan_eigenvalue(self):
         with pytest.raises(ValueError):
@@ -233,12 +246,7 @@ class TestLQU:
                 assert abs(value - ref_value) <= 1e-12
                 assert branch == ref_branch
 
-    @pytest.mark.parametrize("s", [
-        # W_zz above the xy eigenvalues by about 1.6e-13
-        XState(0.25 + 2e-7, 0.25, 0.25 - 2e-7, 0.25),
-        # xy eigenvalues 8e-14 apart, the larger one along y
-        XState(0.25, 0.25, 0.25, 0.25, 1e-7j, 1e-7j),
-    ], ids=["z_within_band", "xy_within_band"])
+    @pytest.mark.parametrize("s", NEAR_TIES, ids=["z_within_band", "xy_within_band"])
     def test_near_ties_resolve_to_lowest_axis(self, s):
         assert lqu(s)[1] == 1
         assert lqu_dense(s)[1] == 1
@@ -317,10 +325,55 @@ class TestMeasureTriple:
 
     def test_ranges(self, rng):
         for _ in range(100):
-            t = measure_triple(random_x_state(rng))
+            t = measure_triple(random_x_state(rng))  # numpy-scalar populations
+            assert type(t.coherence_rel_ent) is float
             assert 0.0 <= t.concurrence <= 1.0
             assert 0.0 <= t.coherence_rel_ent <= 2.0
             assert 0.0 <= t.lqu <= 1.0
+
+
+@st.composite
+def x_states(draw):
+    """A general X state: populations on the simplex, zeros and so zero blocks
+    included, each coherence at a random phase with a modulus up to the
+    block's positivity bound."""
+    weights = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) for _ in range(4)]
+    total = sum(weights)
+    assume(total > 0.0)
+    d = [v / total for v in weights]
+    c14, c23 = (cmath.rect(draw(st.floats(0.0, 1.0)) * math.sqrt(p * q),
+                           draw(st.floats(0.0, 2.0 * math.pi)))
+                for p, q in ((d[0], d[3]), (d[1], d[2])))
+    return XState(*d, c14, c23)
+
+
+@st.composite
+def near_tie_states(draw):
+    """The maximally mixed state moved by up to 2e-7 per entry, as in
+    NEAR_TIES: the three eigenvalues of W lie within the LQU tie band."""
+    small = st.floats(-2e-7, 2e-7)
+    p, q = draw(small), draw(small)
+    c14, c23 = (cmath.rect(abs(draw(small)), draw(st.floats(0.0, 2.0 * math.pi)))
+                for _ in range(2))
+    return XState(0.25 + p, 0.25 + q, 0.25 - p, 0.25 - q, c14, c23)
+
+
+class TestOnePass:
+    """measure_triple writes the concurrence and the entropy of coherence out
+    inline; each must equal its reference routine bit for bit."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(s=st.one_of(x_states(), near_tie_states(), st.sampled_from(NEAR_TIES)))
+    def test_inline_pass_equals_the_reference_routines(self, s):
+        m = measure_triple(s)
+        d11, d22, d33, d44, c14, c23 = s
+        wootters = 2.0 * max(0.0, abs(c14) - math.sqrt(max(d22 * d33, 0.0)),
+                             abs(c23) - math.sqrt(max(d11 * d44, 0.0)))
+        assert m.concurrence == wootters
+        assert m.coherence_rel_ent == max(
+            0.0, von_neumann_entropy(s[:4]) - von_neumann_entropy(eigenvalues_x(s)))
+        assert (m.lqu, m.lqu_branch) == lqu(s)
+        assert (concurrence_x(s), rel_entropy_coherence(s)) == (m.concurrence, m.coherence_rel_ent)
 
 
 class TestStatePathProperties:
@@ -364,6 +417,18 @@ class TestRobustness:
         # that a state with no entanglement or coherence at t = 0 needs no case
         assert (out.coherence_rel_ent * start.concurrence
                 >= out.concurrence * start.coherence_rel_ent - 1e-12)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True), t1=st.floats(0.0, 1.0),
+           step=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 1.0)))
+    def test_measures_non_increasing_in_t(self, gamma, theta, phi, t1, step):
+        # the premise of bars in t: m(t_hi) <= m <= m(t_lo) for each measure
+        w = WernerParams(gamma, theta, phi)
+        t2 = min(1.0, t1 + step)
+        first, second = _through(w, t1), _through(w, t2)
+        for name in ("concurrence", "coherence_rel_ent", "lqu"):
+            assert getattr(second, name) <= getattr(first, name) + 1e-12
 
     def test_bell_plateau(self):
         # t -> 1 as x -> inf: entanglement is gone, coherence and LQU are not
