@@ -242,11 +242,9 @@ class _BeamRules:
     def __init__(self, beam: BeamParams):
         labs, p0 = abs(beam.l0), beam.p0
         self.labs, self.p0 = labs, p0
-        # the first ladder step with _ZERO_NODES radial nodes per zero and a step
-        # after it; where there is none (p0 > 60), nothing else is built
-        self.first = next((i for i, (n_u, _) in enumerate(_RULE_SIZES[:-1])
-                           if n_u >= _ZERO_NODES * p0), None)
-        if self.first is None:
+        # no rule with a step after it has _ZERO_NODES radial nodes per zero of a larger
+        # p0, so nothing is built, not even umax: math.comb takes minutes at a huge p0
+        if _ZERO_NODES * p0 > _RULE_SIZES[-2][0]:
             return
         self.umax = umax = _u_max(beam)
         # the radial nodes fill s = s_lo + (1 - s_lo) sigma, u = umax s^6 in [u_lo, umax]
@@ -320,22 +318,23 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
     if rules is None:
         rules = _BeamRules(beam)
-    if rules.first is None:
-        raise ConvergenceFailure(
-            f"channel integral: radial index too large to resolve {_where(beam, turb)}")
-    cu_max = c_scale * rules.umax ** (5.0 / 6.0)
-    # In t the kernel is about exp(-c (pi/2)^(5/3) t^5), narrowest at u_max,
-    # and an n-point Gauss rule on [0, 1] has about 2 n sqrt(t)/pi nodes below t.
-    peak = (cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2
-    # the ladder starts at the first step from the owner's with _PEAK_NODES theta
-    # nodes in the peak, and a certifying pair needs a step after it
-    nodes_per_size = 2.0 * math.sqrt(peak)
-    for first, (_, n_th) in enumerate(_RULE_SIZES[rules.first:-1], rules.first):
+    # The start test: the first step, with a step after it, whose rule meets
+    # _ZERO_NODES, then _PEAK_NODES; each is a least size, so a failure names the
+    # first the last step misses.  In t the kernel is about exp(-c (pi/2)^(5/3) t^5),
+    # narrowest at u_max; an n-point Gauss rule has about 2 n sqrt(t)/pi nodes below t.
+    cu_max = None
+    for first, (n_u, n_th) in enumerate(_RULE_SIZES[:-1]):
+        if n_u < _ZERO_NODES * rules.p0:
+            unmet = "radial index too large"
+            continue
+        if cu_max is None:
+            cu_max = c_scale * rules.umax ** (5.0 / 6.0)
+            nodes_per_size = 2.0 * math.sqrt((cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2)
         if nodes_per_size * n_th / math.pi >= _PEAK_NODES:
             break
+        unmet = "turbulence too strong"
     else:
-        raise ConvergenceFailure(
-            f"channel integral: turbulence too strong to resolve {_where(beam, turb)}")
+        raise ConvergenceFailure(f"channel integral: {unmet} to resolve {_where(beam, turb)}")
     # the kernel falls in theta and in u: a column left out is below _TAIL_MASS
     # wherever it is at the widest node, so it moves each sum by less than that
     cut = math.log(_TAIL_MASS) / cu_max
