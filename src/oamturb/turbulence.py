@@ -21,14 +21,14 @@ holds all but 1e-16 of its mass at each end, and the theta columns where
 the kernel is below 1e-16 at every node are left out.  Each rule divides its
 sums by its own quadrature of the radial weight, whose exact mass is 1.  The
 rule size grows by about sqrt(2) per step until two successive sizes agree
-to the tolerance, the coarser resolving both the theta ~ 0 peak and the p0
-zeros of the radial weight.  _nodes gives the input-free tables of one or
-two steps end to end.  From them _BeamRules builds, once per beam, what a
-rule needs of the beam alone, for the calls of a sweep or root search to
-share; it builds the first two steps a call evaluates in one pass.  Each
-rule's kernel exponent is a rank-1 matrix product, c(u) times
--sin(theta/2)^(5/3), which BLAS forms faster than an elementwise outer
-product.
+to the tolerance, the coarser resolving the p0 zeros of the radial weight, the
+theta ~ 0 peak and, where the kernel is wide, the cos(2 l0 theta) oscillation.
+_nodes gives the input-free tables of one or two steps end to end.  From them
+_BeamRules builds, once per beam, what a rule needs of the beam alone, for the
+calls of a sweep or root search to share; it builds the first two steps a call
+evaluates in one pass.  Each rule's kernel exponent is a rank-1 matrix
+product, c(u) times -sin(theta/2)^(5/3), which BLAS forms faster than an
+elementwise outer product.
 """
 
 import functools
@@ -65,6 +65,23 @@ _PEAK_NODES = 8
 # the p0 zeros of the radial weight can agree on a wrong value.  No rule with a
 # step after it resolves p0 > 60.
 _ZERO_NODES = 3
+
+# Theta nodes per period of cos(2 l0 theta) that the coarser rule of a
+# certifying pair must have where the kernel is 1, for the same reason: at large
+# l0 in weak turbulence, rules that both under-resolve that oscillation can
+# agree on a wrong value.  The need falls with the kernel, to none where the
+# kernel is below _PERIOD_MASS tol (_period_need).
+_PERIOD_NODES = 1.3
+_PERIOD_MASS = 1e-5
+
+# The t = 2^-11 ... 1 at which _period_need weighs the need, 2^(1/16) apart;
+# 3 pi t^2.5 sqrt(1 - t), its largest value, and it times sin(theta/2)^(5/3),
+# theta = pi t^3.  A kernel that falls to _PERIOD_MASS tol below t = 2^-11 has a
+# theta ~ 0 peak narrower than any rule resolves, so the start test fails first.
+_PERIOD_T = 2.0 ** np.linspace(-11.0, 0.0, 177)
+_PERIOD_G = 3.0 * math.pi * _PERIOD_T ** 2.5 * np.sqrt(1.0 - _PERIOD_T)
+_PERIOD_G_MAX = float(_PERIOD_G.max())
+_PERIOD_G_SIN53 = _PERIOD_G * np.sin(0.5 * math.pi * _PERIOD_T ** 3) ** (5.0 / 3.0)
 
 # Round-off floor of an error estimate, relative to the sum of |terms|
 # (the QUADPACK 50 eps convention).
@@ -183,13 +200,47 @@ def _u_max(beam: BeamParams) -> float:
     return k * t
 
 
-def _u_lo(beam: BeamParams) -> float:
-    # cut the radial head where the weight mass below the cut is _TAIL_MASS.
+def _u_lo(beam: BeamParams, log_mass: float = math.log(_TAIL_MASS)) -> float:
+    # cut the radial head where the weight mass below the cut is exp(log_mass).
     # Szego's bound |L_p^l(u)| <= C e^(u/2), C = (p+|l|)!/(p! |l|!), caps the
     # weight at C u^|l|/|l|!, whose mass below a is C a^(|l|+1)/(|l|+1)!
     labs = abs(beam.l0)
-    return math.exp((math.log(_TAIL_MASS) + math.lgamma(labs + 2.0)
+    return math.exp((log_mass + math.lgamma(labs + 2.0)
                      - math.log(math.comb(labs + beam.p0, beam.p0))) / (labs + 1))
+
+
+def _u_head(beam: BeamParams, log_mass: float) -> float:
+    # a radial head cut like _u_lo's that keeps the weight's e^-u, which _u_lo
+    # drops: the larger of _u_lo's cut and a Chernoff cut.  Below the first zero
+    # z1 of L_p^l, 0 <= L_p^l <= C, so the weight is at most C times the Gamma(k)
+    # density, k = |l| + 1, whose mass below k t, t < 1, is at most
+    # exp(-k (t - 1 - ln t)).  Gershgorin's bound on the Jacobi matrix of L_p^l
+    # puts z1 above (sqrt(p + |l|) - sqrt(p))^2 - 1.  Newton's method on this
+    # falling convex equation nears the root from below: every step is a valid cut.
+    labs, p0 = abs(beam.l0), beam.p0
+    k = labs + 1.0
+    r = (math.log(math.comb(labs + p0, p0)) - log_mass) / k
+    t = max(1.0 - math.sqrt(2.0 * r), math.exp(-1.0 - r))
+    for _ in range(4):
+        t -= (t - 1.0 - math.log(t) - r) / (1.0 - 1.0 / t)
+    cut = k * t if p0 == 0 else min(k * t, (math.sqrt(p0 + labs) - math.sqrt(p0)) ** 2 - 1.0)
+    return max(_u_lo(beam, log_mass), cut)
+
+
+def _period_need(beam: BeamParams, c_scale: float, tol: float) -> float:
+    # The least angular size with _PERIOD_NODES theta nodes per period of
+    # cos(2 l0 theta), weighed by the kernel.  An n-point rule in t has about
+    # n / (3 pi l0 t^2.5 sqrt(1 - t)) nodes per period at t.  The need there is
+    # scaled by log(K/m) / log(1/m), which falls from 1 where the kernel K is 1 to
+    # 0 where it is m = _PERIOD_MASS tol, taking the widest kernel whose radial
+    # nodes carry weight: c at _u_head(m), below which the weight has mass m.
+    # A tol above 1 asks no more than tol = 1.
+    labs = abs(beam.l0)
+    if _PERIOD_NODES * labs * _PERIOD_G_MAX <= _RULE_SIZES[0][1]:
+        return 0.0  # below the first rule whatever the kernel: |l0| <= 20
+    log_m = math.log(_PERIOD_MASS) + math.log(min(tol, 1.0))
+    c = c_scale * _u_head(beam, log_m) ** (5.0 / 6.0)
+    return _PERIOD_NODES * labs * float((_PERIOD_G + c / log_m * _PERIOD_G_SIN53).max())
 
 
 def _legendre(n: int, x):
@@ -306,7 +357,8 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
     rules, private, carries the beam's tables from earlier calls at the same
     beam; without it they are built for this call.
     Raises ValueError if tol is not positive, and ConvergenceFailure if p0
-    has more zeros or the theta ~ 0 peak is narrower than the rules resolve,
+    has more zeros, the theta ~ 0 peak is narrower or cos(2 l0 theta)
+    oscillates faster than the rules resolve,
     if the radial weight overflows the float range or underflows at every
     node, or if the largest rule still misses tol.
     """
@@ -319,9 +371,10 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
     if rules is None:
         rules = _BeamRules(beam)
     # The start test: the first step, with a step after it, whose rule meets
-    # _ZERO_NODES, then _PEAK_NODES; each is a least size, so a failure names the
-    # first the last step misses.  In t the kernel is about exp(-c (pi/2)^(5/3) t^5),
-    # narrowest at u_max; an n-point Gauss rule has about 2 n sqrt(t)/pi nodes below t.
+    # _ZERO_NODES, _PEAK_NODES and _PERIOD_NODES in turn; each is a least size, so a
+    # failure names the first the last step misses.  In t the kernel is about
+    # exp(-c (pi/2)^(5/3) t^5), narrowest at u_max, and an n-point Gauss rule has
+    # about 2 n sqrt(t)/pi nodes below t.
     cu_max = None
     for first, (n_u, n_th) in enumerate(_RULE_SIZES[:-1]):
         if n_u < _ZERO_NODES * rules.p0:
@@ -330,9 +383,13 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
         if cu_max is None:
             cu_max = c_scale * rules.umax ** (5.0 / 6.0)
             nodes_per_size = 2.0 * math.sqrt((cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2)
-        if nodes_per_size * n_th / math.pi >= _PEAK_NODES:
+            n_period = _period_need(beam, c_scale, tol)
+        if nodes_per_size * n_th / math.pi < _PEAK_NODES:
+            unmet = "turbulence too strong"
+        elif n_th < n_period:
+            unmet = "angular oscillation too fast"
+        else:
             break
-        unmet = "turbulence too strong"
     else:
         raise ConvergenceFailure(f"channel integral: {unmet} to resolve {_where(beam, turb)}")
     # the kernel falls in theta and in u: a column left out is below _TAIL_MASS

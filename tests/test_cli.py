@@ -134,6 +134,17 @@ class TestChannelCommand:
         assert err.startswith("numerical failure: channel integral: turbulence too strong")
 
 
+    def test_weak_turbulence_at_large_l0(self, capsys):
+        # rules of 64 and 90 theta nodes, under one per period of cos(136 theta),
+        # agreed here on b = 4.69e-2 with err_b = 4.2e-5; nested quad gives
+        # b = 2.14944436365e-7
+        code, out, err = run_cli(
+            ["channel", "--l0", "68", "--x", "0.0047417", "--tol", "1e-4"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rep = parse_report(out)
+        assert abs(float(rep["b"]) - 2.14944436365e-7) <= float(rep["err_b"])
+
+
 class TestMeasuresCommand:
     def test_bell_origin(self, capsys):
         code, out, _ = run_cli(
@@ -584,8 +595,8 @@ def test_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
 # rejected; at 10^10 and weak turbulence the radial weight underflows at every
 # node, a numerical failure.  Either way one stderr line and no file
 TOO_LARGE_L0 = "error: azimuthal index |l0| must be at most 2**53, where floats hold integers exactly"
-HUGE_L0 = {10: (EXIT_NUMERICAL, "numerical failure: channel integral: the radial weight "
-                "underflows at every node (l0=10000000000, p0=0, x=1e-09)"),
+HUGE_L0 = {10: (EXIT_NUMERICAL, "numerical failure: channel integral: angular oscillation "
+                "too fast to resolve (l0=10000000000, p0=0, x=1e-09)"),
            40: (EXIT_CONFIG, TOO_LARGE_L0), 309: (EXIT_CONFIG, TOO_LARGE_L0)}
 
 
