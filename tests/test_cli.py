@@ -133,7 +133,6 @@ class TestChannelCommand:
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err.startswith("numerical failure: channel integral: turbulence too strong")
 
-
     def test_weak_turbulence_at_large_l0(self, capsys):
         # rules of 64 and 90 theta nodes, under one per period of cos(136 theta),
         # agreed here on b = 4.69e-2 with err_b = 4.2e-5; nested quad gives
@@ -592,8 +591,8 @@ def test_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
 
 
 # |l0| = 10^k: past 2**53, where float(l0) stops being exact, the beam is
-# rejected; at 10^10 and weak turbulence the radial weight underflows at every
-# node, a numerical failure.  Either way one stderr line and no file
+# rejected; at 10^10 in weak turbulence cos(2 l0 theta) oscillates too fast for
+# every rule, a numerical failure.  Either way one stderr line and no file
 TOO_LARGE_L0 = "error: azimuthal index |l0| must be at most 2**53, where floats hold integers exactly"
 HUGE_L0 = {10: (EXIT_NUMERICAL, "numerical failure: channel integral: angular oscillation "
                 "too fast to resolve (l0=10000000000, p0=0, x=1e-09)"),

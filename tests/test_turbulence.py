@@ -338,12 +338,13 @@ def test_radial_lower_cut_mass(l0, p0):
 def test_radial_head_cut_mass(l0, p0, mass):
     # mass of the normalized radial weight below the head cut of the oscillation
     # need, the larger of Szego's cut and the Gamma-tail Chernoff cut: here the
-    # Chernoff cut is the larger from l0 = 40 on
-    ulo = _u_head(BeamParams(waist=1.0, l0=l0, p0=p0), math.log(mass))
+    # Chernoff cut is the larger except at l0 = 21, mass 1e-16 (35.6 against
+    # 25.6 at l0 = 97, p0 = 0, mass 1e-16)
+    cut = _u_head(BeamParams(waist=1.0, l0=l0, p0=p0), math.log(mass))
     log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
     head, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
                      * eval_genlaguerre(p0, l0, u) ** 2,
-                     0.0, ulo, epsabs=0.0, epsrel=1e-8)
+                     0.0, cut, epsabs=0.0, epsrel=1e-8)
     assert err <= 1e-6 * head
     assert head <= mass
 
@@ -425,7 +426,7 @@ def test_error_bars_are_honest_at_high_l0(l0, p0, x, tol):
     # tol; the pair (181x362, 256x512) agrees, and nested quad confirms its error
     # bars.  In the next five, rules with radial nodes down to u = 0, half of
     # them where the weight is below 1e-18 of its mass, agreed to tol on a value
-    # up to 1.4e-6 off (at l0 = 61, p0 = 5, x = 10).  In the last four, rules
+    # up to 1.4e-6 off (at l0 = 61, p0 = 5, x = 10).  In the next four, rules
     # with fewer than 3 radial nodes per zero of the weight agreed on a value up
     # to 2.9e-5 off (at l0 = 40, p0 = 20, x = 10).  In the last four, in weak
     # turbulence, rules with under 1.3 theta nodes per period of cos(2 l0 theta)
