@@ -185,46 +185,45 @@ def _c_scale(beam: BeamParams, turb: TurbulenceParams) -> float:
     return 0.5 * phase_structure(math.sqrt(2.0) * beam.waist, turb)
 
 
+def _chernoff(t: float, r: float) -> float:
+    # four Newton steps on the convex t - 1 - ln t = r from t, where the left side
+    # is at least r: each step keeps to that side of the root, so each is a valid cut
+    for _ in range(4):
+        t -= (t - 1.0 - math.log(t) - r) / (1.0 - 1.0 / t)
+    return t
+
+
 def _u_max(beam: BeamParams) -> float:
     # cut the radial tail where the remaining weight mass is below _TAIL_MASS.
     # Past the last Laguerre zero the weight is at most C = (|l|+2p)!/(p! (p+|l|)!)
     # times the Gamma(k) density, k = |l| + 2p + 1, whose tail beyond k t the
-    # Chernoff bound caps at exp(-k (t - 1 - ln t)); t solves that = _TAIL_MASS/C.
-    # Newton's method on this convex equation nears the root from above, so
-    # every step is a valid cut.
+    # Chernoff bound caps at exp(-k (t - 1 - ln t)); t > 1 solves that = _TAIL_MASS/C
     k = abs(beam.l0) + 2 * beam.p0 + 1
     r = (math.log(math.comb(k - 1, beam.p0)) - math.log(_TAIL_MASS)) / k
-    t = 1.0 + r + math.sqrt(2.0 * r)
-    for _ in range(4):
-        t -= (t - 1.0 - math.log(t) - r) / (1.0 - 1.0 / t)
-    return k * t
-
-
-def _u_lo(beam: BeamParams, log_mass: float = math.log(_TAIL_MASS)) -> float:
-    # cut the radial head where the weight mass below the cut is exp(log_mass).
-    # Szego's bound |L_p^l(u)| <= C e^(u/2), C = (p+|l|)!/(p! |l|!), caps the
-    # weight at C u^|l|/|l|!, whose mass below a is C a^(|l|+1)/(|l|+1)!
-    labs = abs(beam.l0)
-    return math.exp((log_mass + math.lgamma(labs + 2.0)
-                     - math.log(math.comb(labs + beam.p0, beam.p0))) / (labs + 1))
+    return k * _chernoff(1.0 + r + math.sqrt(2.0 * r), r)
 
 
 def _u_head(beam: BeamParams, log_mass: float) -> float:
-    # a radial head cut like _u_lo's that keeps the weight's e^-u, which _u_lo
-    # drops: the larger of _u_lo's cut and a Chernoff cut.  Below the first zero
-    # z1 of L_p^l, 0 <= L_p^l <= C, so the weight is at most C times the Gamma(k)
-    # density, k = |l| + 1, whose mass below k t, t < 1, is at most
-    # exp(-k (t - 1 - ln t)).  Gershgorin's bound on the Jacobi matrix of L_p^l
-    # puts z1 above (sqrt(p + |l|) - sqrt(p))^2 - 1.  Newton's method on this
-    # falling convex equation nears the root from below: every step is a valid cut.
+    # cut the radial head where the weight mass below the cut is at most
+    # exp(log_mass), at the larger of two cuts.  Szego's bound |L_p^l(u)| <= C e^(u/2),
+    # C = (p+|l|)!/(p! |l|!), caps the weight at C u^|l|/|l|!, whose mass below a is
+    # C a^(|l|+1)/(|l|+1)!.  That drops the weight's e^-u, which a Chernoff cut keeps:
+    # below the first zero z1 of L_p^l, 0 <= L_p^l <= C, so the weight is at most C
+    # times the Gamma(k) density, k = |l| + 1, whose mass below k t, t < 1, is at most
+    # exp(-k (t - 1 - ln t)).  Gershgorin's bound on the Jacobi matrix of L_p^l puts z1
+    # above (sqrt(p + |l|) - sqrt(p))^2 - 1.  The Newton steps near the Chernoff root
+    # from below, so where a/k is at or past that root, a is the larger cut whatever
+    # they give, and they are skipped: at _TAIL_MASS for |l0| <= 24 (p0 = 0) to 55 (p0 = 60)
     labs, p0 = abs(beam.l0), beam.p0
     k = labs + 1.0
-    r = (math.log(math.comb(labs + p0, p0)) - log_mass) / k
-    t = max(1.0 - math.sqrt(2.0 * r), math.exp(-1.0 - r))
-    for _ in range(4):
-        t -= (t - 1.0 - math.log(t) - r) / (1.0 - 1.0 / t)
-    cut = k * t if p0 == 0 else min(k * t, (math.sqrt(p0 + labs) - math.sqrt(p0)) ** 2 - 1.0)
-    return max(_u_lo(beam, log_mass), cut)
+    log_c = math.log(math.comb(labs + p0, p0))
+    a = math.exp((log_mass + math.lgamma(labs + 2.0) - log_c) / k)
+    r = (log_c - log_mass) / k
+    t = a / k
+    if t - 1.0 - math.log(t) <= r:
+        return a
+    cut = k * _chernoff(max(1.0 - math.sqrt(2.0 * r), math.exp(-1.0 - r)), r)
+    return max(a, cut if p0 == 0 else min(cut, (math.sqrt(p0 + labs) - math.sqrt(p0)) ** 2 - 1.0))
 
 
 def _period_need(beam: BeamParams, c_scale: float, tol: float) -> float:
@@ -298,8 +297,8 @@ class _BeamRules:
         if _ZERO_NODES * p0 > _RULE_SIZES[-2][0]:
             return
         self.umax = umax = _u_max(beam)
-        # the radial nodes fill s = s_lo + (1 - s_lo) sigma, u = umax s^6 in [u_lo, umax]
-        self.s_lo = (_u_lo(beam) / umax) ** (1.0 / 6.0)
+        # the radial nodes fill s = s_lo + (1 - s_lo) sigma, u = umax s^6 from the head cut to umax
+        self.s_lo = (_u_head(beam, math.log(_TAIL_MASS)) / umax) ** (1.0 / 6.0)
         # log of w_sigma du/dsigma u^|l| e^-u p!/(p+|l|)! is log w_sigma + (6|l| + 5) log s
         # - u + this, du/dsigma = 6 umax s^5 (1 - s_lo).  Any constant in the log weight
         # cancels against the rule's mass; this one makes it the unit-mass weight, so

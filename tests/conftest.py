@@ -161,25 +161,30 @@ def _gauss_panels(edges, n: int):
 
 @lru_cache(maxsize=None)
 def channel_ab_panels(l0: int, p0: int, x: float):
-    """(a, b) by Gauss-Legendre panels, for radial indices p0 >= 1 where nested
-    quad is slow: in u = 2 r^2, 64 nodes between each two zeros of
-    L_{p0}^{|l0|}(u) and on each of 8 tail panels up to twice the cut of
-    _radial_range; in theta = pi t^3, 8 panels of 1024 nodes in t.
+    """(a, b) by Gauss-Legendre panels, for any l0 and for the radial indices
+    where nested quad is slow: in u = 2 r^2, 64 nodes between each two zeros of
+    L_{p0}^{|l0|}(u), or at p0 = 0 on each of 8 panels over the weight's peak,
+    k +- 16 sqrt(k) with k = |l0| + 1, and on each of 8 tail panels up to twice
+    the cut of _radial_range; in theta = pi t^3, 8 panels of 1024 nodes in t.
 
-    The first panel takes u = z_1 s^2: in strong turbulence the angular integral
-    falls as u^(-1/2), so at |l0| = 1 the integrand is about u^(1/2) there, and
-    plain Gauss nodes miss a by up to 6e-9.  The sums are divided by the rule's
-    own radial mass, which cancels the rounding of the lgamma constant (about
-    1e-14 relative).
+    The first panel takes u = z_1 s^2, z_1 the first zero or panel edge: in
+    strong turbulence the angular integral falls as u^(-1/2), so at |l0| = 1 the
+    integrand is about u^(1/2) there, and plain Gauss nodes miss a by up to 6e-9.
+    The sums are divided by the rule's own radial mass, which cancels the
+    rounding of the lgamma constant (about 1e-14 relative).
     """
     labs = abs(l0)
     r0 = phase_correlation_length(BeamParams(waist=1.0, l0=l0, p0=p0)) / x
-    zeros = roots_genlaguerre(p0, labs)[0]
+    if p0:
+        edges = roots_genlaguerre(p0, labs)[0]
+    else:
+        k = labs + 1.0
+        edges = np.linspace(max(0.0, k - 16.0 * math.sqrt(k)), k + 16.0 * math.sqrt(k), 9)[1:]
     u_cut = 4.0 * _radial_range(l0, p0)[0] ** 2
     s, w_s = _gauss_panels([0.0, 1.0], 64)
-    u, w_u = _gauss_panels(np.concatenate((zeros, np.linspace(zeros[-1], u_cut, 9)[1:])), 64)
-    u = np.concatenate((zeros[0] * s * s, u))
-    w_u = np.concatenate((2.0 * zeros[0] * s * w_s, w_u))
+    u, w_u = _gauss_panels(np.concatenate((edges, np.linspace(edges[-1], u_cut, 9)[1:])), 64)
+    u = np.concatenate((edges[0] * s * s, u))
+    w_u = np.concatenate((2.0 * edges[0] * s * w_s, w_u))
     weight = w_u * np.exp(gammaln(p0 + 1.0) - gammaln(p0 + labs + 1.0) + labs * np.log(u) - u) \
         * eval_genlaguerre(p0, labs, u) ** 2
     t, w_t = _gauss_panels(np.linspace(0.0, 1.0, 9), 1024)

@@ -23,7 +23,6 @@ from oamturb.turbulence import (
     ConvergenceFailure,
     TurbulenceParams,
     _u_head,
-    _u_lo,
     _u_max,
     channel_ab,
     fried_parameter,
@@ -319,27 +318,13 @@ def test_radial_cut_tail_mass(l0, p0):
 
 
 @pytest.mark.parametrize("p0", [0, 1, 2, 5])
-@pytest.mark.parametrize("l0", [1, 10, 40])
-def test_radial_lower_cut_mass(l0, p0):
-    # mass of the normalized radial weight below the lower cut, which Szego's
-    # bound on L_p^l sets; at l0 = 1 the bound is tight to 1e-8 relative
-    ulo = _u_lo(BeamParams(waist=1.0, l0=l0, p0=p0))
-    log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
-    head, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
-                     * eval_genlaguerre(p0, l0, u) ** 2,
-                     0.0, ulo, epsabs=0.0, epsrel=1e-8)
-    assert err <= 1e-6 * head
-    assert head <= _TAIL_MASS
-
-
-@pytest.mark.parametrize("p0", [0, 1, 5])
-@pytest.mark.parametrize("l0", [21, 40, 97])
+@pytest.mark.parametrize("l0", [1, 10, 21, 40, 97])
 @pytest.mark.parametrize("mass", [1e-7, 1e-16])
 def test_radial_head_cut_mass(l0, p0, mass):
-    # mass of the normalized radial weight below the head cut of the oscillation
-    # need, the larger of Szego's cut and the Gamma-tail Chernoff cut: here the
-    # Chernoff cut is the larger except at l0 = 21, mass 1e-16 (35.6 against
-    # 25.6 at l0 = 97, p0 = 0, mass 1e-16)
+    # mass of the normalized radial weight below the head cut, the larger of
+    # Szego's cut and the Gamma-tail Chernoff cut.  Szego's binds at l0 <= 10 and
+    # at l0 = 21, mass 1e-16, and is tight to 1e-8 relative at l0 = 1; the Chernoff
+    # cut binds elsewhere (35.6 against 25.6 at l0 = 97, p0 = 0, mass 1e-16)
     cut = _u_head(BeamParams(waist=1.0, l0=l0, p0=p0), math.log(mass))
     log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
     head, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
@@ -349,21 +334,40 @@ def test_radial_head_cut_mass(l0, p0, mass):
     assert head <= mass
 
 
+@pytest.mark.parametrize("l0", [10, 97, 10 ** 3, 10 ** 4, 10 ** 7])
+def test_radial_nodes_on_the_peak(l0):
+    # the 32-node rule puts at least 9 radial nodes where the weight is above 1e-3
+    # of its largest value.  A head cut that drops the weight's e^-u, as Szego's
+    # alone does, cuts near (l0 + 1)/e at large l0 and spreads the nodes over a
+    # range that widens faster than the peak
+    weight = turbulence._BeamRules(BeamParams(waist=1.0, l0=l0)).step(0, False)[0]
+    assert np.count_nonzero(weight > 1e-3 * weight.max()) >= 9
+
+
 @pytest.mark.parametrize("l0, p0, message", [
     (1, 60, "did not reach tol=1e-09 with a 256x512 rule"),
     (1, 61, "radial index too large to resolve"),
-    (10 ** 7, 60, "the radial weight overflows the float range"),
     (2 ** 53, 0, "angular oscillation too fast to resolve")],
-    ids=["largest_p0", "p0_past_the_rules", "weight_overflow", "largest_l0"])
+    ids=["largest_p0", "p0_past_the_rules", "largest_l0"])
 def test_radial_index_bounds(l0, p0, message):
     # p0 = 60 is the largest radial index with 3 radial nodes per zero in a rule
     # that has a step after it, 181x362; past it the call raises before building
-    # anything.  At l0 = 10^7 the weight leaves the float range even at p0 = 60.
-    # At the largest l0 no rule has 1.3 theta nodes per period of cos(2 l0 theta)
-    # where the kernel is wide, and the start test fails before the weight, whose
-    # nodes miss its peak there, is found to underflow at every node
+    # anything.  At the largest l0 no rule has 1.3 theta nodes per period of
+    # cos(2 l0 theta) where the kernel is wide
     beam = BeamParams(waist=1.0, l0=l0, p0=p0)
     with pytest.raises(ConvergenceFailure, match=message):
+        channel_ab(beam, r0_from_x(beam, 1.0), 1e-9)
+
+
+@pytest.mark.parametrize("factor, fault", [(np.inf, "overflows the float range"),
+                                           (0.0, "underflows at every node")],
+                         ids=["overflow", "underflow"])
+def test_radial_weight_out_of_range(monkeypatch, factor, fault):
+    # with the radial nodes near the weight's peak no known input leaves the
+    # float range, so a Laguerre factor out of range stands in for one
+    monkeypatch.setattr(turbulence, "_laguerre", lambda p, l, u: np.full_like(u, factor))
+    beam = BeamParams(waist=1.0, l0=1, p0=1)
+    with pytest.raises(ConvergenceFailure, match=f"the radial weight {fault}"):
         channel_ab(beam, r0_from_x(beam, 1.0), 1e-9)
 
 
@@ -448,9 +452,11 @@ def test_error_bars_are_honest_for_every_beam(l0, p0, log_x, tol):
     test_error_bars_are_honest(l0, p0, 10.0 ** log_x, tol)
 
 
-@pytest.mark.parametrize("l0, p0, x", [(40, 20, 10.0), (60, 12, 10.0)])
+@pytest.mark.parametrize("l0, p0, x", [(40, 20, 10.0), (60, 12, 10.0), (1, 0, 0.5), (10, 0, 1.0),
+                                        (97, 0, 3.0)])
 def test_panel_oracle_matches_nested_quad(l0, p0, x):
-    # the Gauss-between-zeros oracle against nested quad, where both reach p0
+    # the Gauss-between-zeros oracle against nested quad, where both reach p0, and
+    # its panels over the radial peak at p0 = 0
     assert np.allclose(channel_ab_panels(l0, p0, x), channel_ab_quad(l0, p0, x), rtol=0.0, atol=1e-15)
 
 
@@ -467,6 +473,22 @@ def test_error_bars_are_honest_at_high_p0(l0, p0, log_x, tol):
     except ConvergenceFailure:
         return
     ora_a, ora_b = channel_ab_panels(l0, p0, x)
+    assert 0.0 < cc.err_a <= tol
+    assert 0.0 < cc.err_b <= tol
+    assert abs(cc.a - ora_a) <= cc.err_a + 1e-13
+    assert abs(cc.b - ora_b) <= cc.err_b + 1e-13
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(log_l0=st.floats(math.log10(98.0), 5.0), log_x=st.floats(math.log10(0.3), math.log10(3.0)),
+       tol=st.sampled_from([1e-6, 1e-9]))
+def test_error_bars_are_honest_past_l0_97(log_l0, log_x, tol):
+    # l0 and x log-uniform on [98, 1e5] and [0.3, 3] at p0 = 0, against the
+    # panels over the radial peak
+    l0, x = round(10.0 ** log_l0), 10.0 ** log_x
+    beam = BeamParams(waist=1.0, l0=l0)
+    cc = channel_ab(beam, r0_from_x(beam, x), tol)
+    ora_a, ora_b = channel_ab_panels(l0, 0, x)
     assert 0.0 < cc.err_a <= tol
     assert 0.0 < cc.err_b <= tol
     assert abs(cc.a - ora_a) <= cc.err_a + 1e-13
