@@ -318,6 +318,21 @@ def test_radial_cut_tail_mass(l0, p0):
 
 
 @pytest.mark.parametrize("p0", [0, 1, 2, 5])
+@pytest.mark.parametrize("l0", [1, 10, 40])
+def test_radial_lower_cut_mass(l0, p0):
+    # mass of the normalized radial weight below the first point of the radial
+    # rule, u = umax s_lo^6, which the head cut at _TAIL_MASS sets
+    rules = turbulence._BeamRules(BeamParams(waist=1.0, l0=l0, p0=p0))
+    ulo = rules.umax * rules.s_lo ** 6
+    log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
+    head, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
+                     * eval_genlaguerre(p0, l0, u) ** 2,
+                     0.0, ulo, epsabs=0.0, epsrel=1e-8)
+    assert err <= 1e-6 * head
+    assert head <= _TAIL_MASS
+
+
+@pytest.mark.parametrize("p0", [0, 1, 2, 5])
 @pytest.mark.parametrize("l0", [1, 10, 21, 40, 97])
 @pytest.mark.parametrize("mass", [1e-7, 1e-16])
 def test_radial_head_cut_mass(l0, p0, mass):
