@@ -13,7 +13,7 @@ import numpy as np
 from .lgmath import BeamParams
 from .measures import concurrence_analytic, lqu, measure_triple
 from .qstate import ChannelCoefficients, WernerParams, apply_channel, werner_like
-from .turbulence import ConvergenceFailure, _BeamRules, channel_ab, r0_from_x
+from .turbulence import ConvergenceFailure, channel_ab, r0_from_x
 
 # Default initial guesses: the published fitted constants of each form.
 POLY_FORM_INITIAL = (0.183, 3.78, 0.21, 0.131)
@@ -66,9 +66,8 @@ def _check_tol(tol):
 
 
 def _channel_of_x(beam: BeamParams, tol: float):
-    """The channel of beam at strength x, every call sharing one _BeamRules."""
-    rules = _BeamRules(beam)
-    return lambda x: channel_ab(beam, r0_from_x(beam, x), tol, rules=rules)
+    """The channel of beam at strength x."""
+    return lambda x: channel_ab(beam, r0_from_x(beam, x), tol)
 
 
 def sweep(beam: BeamParams, w: WernerParams, x_grid, tol: float = 1e-9) -> list[SweepRow]:

@@ -24,11 +24,12 @@ rule size grows by about sqrt(2) per step until two successive sizes agree
 to the tolerance, the coarser resolving the p0 zeros of the radial weight, the
 theta ~ 0 peak and, where the kernel is wide, the cos(2 l0 theta) oscillation.
 _nodes gives the input-free tables of one or two steps end to end.  From them
-_BeamRules builds, once per beam, what a rule needs of the beam alone, for the
-calls of a sweep or root search to share; it builds the first two steps a call
-evaluates in one pass.  Each rule's kernel exponent is a rank-1 matrix
-product, c(u) times -sin(theta/2)^(5/3), which BLAS forms faster than an
-elementwise outer product.
+_BeamRules builds what a rule needs of the beam alone, |l0| and p0, filling
+the first two steps a call evaluates in one pass.  A process keeps one per
+(|l0|, p0), the 128 last used, for every call whatever the waist, x or
+tol; two threads that fill one step at once write the same bits.  Each rule's
+kernel exponent is a rank-1 matrix product, c(u) times -sin(theta/2)^(5/3),
+which BLAS forms faster than an elementwise outer product.
 """
 
 import functools
@@ -193,17 +194,17 @@ def _chernoff(t: float, r: float) -> float:
     return t
 
 
-def _u_max(beam: BeamParams) -> float:
+def _u_max(labs: int, p0: int) -> float:
     # cut the radial tail where the remaining weight mass is below _TAIL_MASS.
     # Past the last Laguerre zero the weight is at most C = (|l|+2p)!/(p! (p+|l|)!)
     # times the Gamma(k) density, k = |l| + 2p + 1, whose tail beyond k t the
     # Chernoff bound caps at exp(-k (t - 1 - ln t)); t > 1 solves that = _TAIL_MASS/C
-    k = abs(beam.l0) + 2 * beam.p0 + 1
-    r = (math.log(math.comb(k - 1, beam.p0)) - math.log(_TAIL_MASS)) / k
+    k = labs + 2 * p0 + 1
+    r = (math.log(math.comb(k - 1, p0)) - math.log(_TAIL_MASS)) / k
     return k * _chernoff(1.0 + r + math.sqrt(2.0 * r), r)
 
 
-def _u_head(beam: BeamParams, log_mass: float) -> float:
+def _u_head(labs: int, p0: int, log_mass: float) -> float:
     # cut the radial head where the weight mass below the cut is at most
     # exp(log_mass), at the larger of two cuts.  Szego's bound |L_p^l(u)| <= C e^(u/2),
     # C = (p+|l|)!/(p! |l|!), caps the weight at C u^|l|/|l|!, whose mass below a is
@@ -214,7 +215,6 @@ def _u_head(beam: BeamParams, log_mass: float) -> float:
     # above (sqrt(p + |l|) - sqrt(p))^2 - 1.  The Newton steps near the Chernoff root
     # from below, so where a/k is at or past that root, a is the larger cut whatever
     # they give, and they are skipped: at _TAIL_MASS for |l0| <= 24 (p0 = 0) to 55 (p0 = 60)
-    labs, p0 = abs(beam.l0), beam.p0
     k = labs + 1.0
     log_c = math.log(math.comb(labs + p0, p0))
     a = math.exp((log_mass + math.lgamma(labs + 2.0) - log_c) / k)
@@ -238,7 +238,7 @@ def _period_need(beam: BeamParams, c_scale: float, tol: float) -> float:
     if _PERIOD_NODES * labs * _PERIOD_G_MAX <= _RULE_SIZES[0][1]:
         return 0.0  # below the first rule whatever the kernel: |l0| <= 20
     log_m = math.log(_PERIOD_MASS) + math.log(min(tol, 1.0))
-    c = c_scale * _u_head(beam, log_m) ** (5.0 / 6.0)
+    c = c_scale * _u_head(labs, beam.p0, log_m) ** (5.0 / 6.0)
     return _PERIOD_NODES * labs * float((_PERIOD_G + c / log_m * _PERIOD_G_SIN53).max())
 
 
@@ -287,18 +287,17 @@ def _nodes(i: int, n: int):
 
 class _BeamRules:
     """The tables of each ladder step that depend on the beam only, filled on
-    first use: one per beam serves every channel_ab call at that beam."""
+    first use; built only by _beam_rules, one per (|l0|, p0)."""
 
-    def __init__(self, beam: BeamParams):
-        labs, p0 = abs(beam.l0), beam.p0
+    def __init__(self, labs: int, p0: int):
         self.labs, self.p0 = labs, p0
         # no rule with a step after it has _ZERO_NODES radial nodes per zero of a larger
         # p0, so nothing is built, not even umax: math.comb takes minutes at a huge p0
         if _ZERO_NODES * p0 > _RULE_SIZES[-2][0]:
             return
-        self.umax = umax = _u_max(beam)
+        self.umax = umax = _u_max(labs, p0)
         # the radial nodes fill s = s_lo + (1 - s_lo) sigma, u = umax s^6 from the head cut to umax
-        self.s_lo = (_u_head(beam, math.log(_TAIL_MASS)) / umax) ** (1.0 / 6.0)
+        self.s_lo = (_u_head(labs, p0, math.log(_TAIL_MASS)) / umax) ** (1.0 / 6.0)
         # log of w_sigma du/dsigma u^|l| e^-u p!/(p+|l|)! is log w_sigma + (6|l| + 5) log s
         # - u + this, du/dsigma = 6 umax s^5 (1 - s_lo).  Any constant in the log weight
         # cancels against the rule's mass; this one makes it the unit-mass weight, so
@@ -348,13 +347,15 @@ class _BeamRules:
             start_u, start_th = end_u, end_th
 
 
-def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
-               rules: _BeamRules | None = None) -> ChannelCoefficients:
+# The one constructor of _BeamRules, _beam_rules(|l0|, p0), keeps the 128 last used:
+# an owner holds at most about 58 KB, all seven ladder steps, so under 8 MB in all.
+_beam_rules = functools.lru_cache(maxsize=128)(_BeamRules)
+
+
+def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> ChannelCoefficients:
     """Survival and crosstalk coefficients (a, b) of the turbulence map.
 
     err_a and err_b bound |a - a_true| and |b - b_true|, each at most tol.
-    rules, private, carries the beam's tables from earlier calls at the same
-    beam; without it they are built for this call.
     Raises ValueError if tol is not positive, and ConvergenceFailure if p0
     has more zeros, the theta ~ 0 peak is narrower or cos(2 l0 theta)
     oscillates faster than the rules resolve,
@@ -367,8 +368,7 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9,
     if c_scale == 0.0:
         # r0 = inf, or turbulence so weak that the kernel exponent underflows
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
-    if rules is None:
-        rules = _BeamRules(beam)
+    rules = _beam_rules(abs(beam.l0), beam.p0)
     # The start test: the first step, with a step after it, whose rule meets
     # _ZERO_NODES, _PEAK_NODES and _PERIOD_NODES in turn; each is a least size, so a
     # failure names the first the last step misses.  In t the kernel is about

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -308,7 +310,7 @@ def test_radial_cut_tail_mass(l0, p0):
     # mass of the normalized radial weight p0!/(p0+l0)! u^l0 L^2 e^-u beyond the
     # cut; a Gamma(l0 + 2 p0 + 1) cut without the Laguerre leading coefficient
     # leaves up to 6e-16 here at p0 = 2
-    umax = _u_max(BeamParams(waist=1.0, l0=l0, p0=p0))
+    umax = _u_max(l0, p0)
     log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
     tail, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
                      * eval_genlaguerre(p0, l0, u) ** 2,
@@ -322,7 +324,7 @@ def test_radial_cut_tail_mass(l0, p0):
 def test_radial_lower_cut_mass(l0, p0):
     # mass of the normalized radial weight below the first point of the radial
     # rule, u = umax s_lo^6, which the head cut at _TAIL_MASS sets
-    rules = turbulence._BeamRules(BeamParams(waist=1.0, l0=l0, p0=p0))
+    rules = turbulence._beam_rules(l0, p0)
     ulo = rules.umax * rules.s_lo ** 6
     log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
     head, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
@@ -340,7 +342,7 @@ def test_radial_head_cut_mass(l0, p0, mass):
     # Szego's cut and the Gamma-tail Chernoff cut.  Szego's binds at l0 <= 10 and
     # at l0 = 21, mass 1e-16, and is tight to 1e-8 relative at l0 = 1; the Chernoff
     # cut binds elsewhere (35.6 against 25.6 at l0 = 97, p0 = 0, mass 1e-16)
-    cut = _u_head(BeamParams(waist=1.0, l0=l0, p0=p0), math.log(mass))
+    cut = _u_head(l0, p0, math.log(mass))
     log_norm = gammaln(p0 + 1.0) - gammaln(p0 + l0 + 1.0)
     head, err = quad(lambda u: math.exp(log_norm + l0 * math.log(u) - u)
                      * eval_genlaguerre(p0, l0, u) ** 2,
@@ -355,7 +357,7 @@ def test_radial_nodes_on_the_peak(l0):
     # of its largest value.  A head cut that drops the weight's e^-u, as Szego's
     # alone does, cuts near (l0 + 1)/e at large l0 and spreads the nodes over a
     # range that widens faster than the peak
-    weight = turbulence._BeamRules(BeamParams(waist=1.0, l0=l0)).step(0, False)[0]
+    weight = turbulence._beam_rules(l0, 0).step(0, False)[0]
     assert np.count_nonzero(weight > 1e-3 * weight.max()) >= 9
 
 
@@ -374,10 +376,19 @@ def test_radial_index_bounds(l0, p0, message):
         channel_ab(beam, r0_from_x(beam, 1.0), 1e-9)
 
 
+@pytest.fixture()
+def cold_beam_rules():
+    # an empty beam cache before and after the test, so that no owner filled
+    # outside a patch serves the test, and none filled under it outlives it
+    turbulence._beam_rules.cache_clear()
+    yield
+    turbulence._beam_rules.cache_clear()
+
+
 @pytest.mark.parametrize("factor, fault", [(np.inf, "overflows the float range"),
                                            (0.0, "underflows at every node")],
                          ids=["overflow", "underflow"])
-def test_radial_weight_out_of_range(monkeypatch, factor, fault):
+def test_radial_weight_out_of_range(cold_beam_rules, monkeypatch, factor, fault):
     # with the radial nodes near the weight's peak no known input leaves the
     # float range, so a Laguerre factor out of range stands in for one
     monkeypatch.setattr(turbulence, "_laguerre", lambda p, l, u: np.full_like(u, factor))
@@ -535,6 +546,7 @@ def test_rule_cache_carries_no_state():
     for case in cases:
         turbulence._gauss01.cache_clear()
         turbulence._nodes.cache_clear()
+        turbulence._beam_rules.cache_clear()
         cold[case] = evaluate(*case)
         assert turbulence._nodes.cache_info().currsize >= 2
     for order in (cases, cases[::-1]):
@@ -542,19 +554,63 @@ def test_rule_cache_carries_no_state():
 
 
 def test_beam_rules_carry_no_state():
-    # one owner shared by calls at several x and tol, in either order, gives
-    # the bits of a fresh owner per call.  The calls start the ladder at
-    # different steps: x = 0.5 at tol 1e-11 reaches 32x64 to 64x128, and
-    # x = 1e3 starts at 64x128, so a step is filled alone, or in a pair with
-    # the next, whichever call comes first
+    # the owner a process keeps per (|l0|, p0), shared by calls at several x
+    # and tol, in either order, gives the bits of a cold cache per call.  The
+    # calls start the ladder at different steps: x = 0.5 at tol 1e-11 reaches
+    # 32x64 to 64x128, and x = 1e3 starts at 64x128, so a step is filled alone,
+    # or in a pair with the next, whichever call comes first
     beam = BeamParams(waist=1.0, l0=20, p0=2)
     cases = [(x, tol) for x in (0.01, 1.0, 50.0) for tol in (1e-6, 1e-11)] + [(0.5, 1e-11), (1e3, 1e-9)]
-    fresh = [channel_ab(beam, r0_from_x(beam, x), tol) for x, tol in cases]
+    fresh = []
+    for x, tol in cases:
+        turbulence._beam_rules.cache_clear()
+        fresh.append(channel_ab(beam, r0_from_x(beam, x), tol))
     for order in (cases, cases[::-1]):
-        rules = turbulence._BeamRules(beam)
-        shared = {case: channel_ab(beam, r0_from_x(beam, case[0]), case[1], rules=rules)
-                  for case in order}
+        turbulence._beam_rules.cache_clear()
+        shared = {case: channel_ab(beam, r0_from_x(beam, case[0]), case[1]) for case in order}
         assert [shared[case] for case in cases] == fresh
+    # another waist and the other sign of l0 take the (20, 2) owner, and its bits
+    mirror = BeamParams(waist=2.0, l0=-20, p0=2)
+    hits = turbulence._beam_rules.cache_info().hits
+    assert [channel_ab(mirror, r0_from_x(mirror, x), tol) for x, tol in cases] == fresh
+    assert turbulence._beam_rules.cache_info().hits == hits + len(cases)
+
+
+def test_concurrent_first_fills_give_the_same_bits():
+    # threads that fill the steps of one owner at once each write the same
+    # bits, so every call returns what it returns alone from a cold cache
+    cases = [(l0, p0, x, tol) for l0, p0 in ((1, 0), (20, 2), (40, 1))
+             for x, tol in ((0.5, 1e-11), (1e3, 1e-9), (5.0, 1e-6))]
+
+    def evaluate(l0, p0, x, tol):
+        beam = BeamParams(waist=1.0, l0=l0, p0=p0)
+        return channel_ab(beam, r0_from_x(beam, x), tol)
+
+    alone = {}
+    for case in cases:
+        turbulence._beam_rules.cache_clear()
+        alone[case] = evaluate(*case)
+    turbulence._beam_rules.cache_clear()
+    results = [{} for _ in range(4)]
+    start = threading.Barrier(len(results))
+
+    def work(k):
+        start.wait()
+        for case in cases[k:] + cases[:k]:
+            results[k][case] = evaluate(*case)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [alone] * len(results)
 
 
 def test_exponent_table_carries_no_state():
@@ -565,6 +621,7 @@ def test_exponent_table_carries_no_state():
     turb = r0_from_x(beam, 2.0)
     warm = channel_ab(beam, turb, 1e-11)
     turbulence._nodes.cache_clear()
+    turbulence._beam_rules.cache_clear()
     assert channel_ab(beam, turb, 1e-11) == warm
     assert turbulence._nodes.cache_info().currsize >= 2
 
@@ -592,23 +649,38 @@ def test_first_call_builds_only_the_rules_it_uses():
 
 
 def test_only_the_rule_tables_grow():
-    # the module keeps no state keyed by beam, x or tol: after calls over
-    # several of each, only the two rule tables have grown, and only by
-    # ladder steps: at most 7 single steps and 6 pairs
+    # the module keeps no state keyed by x or tol: after calls over several
+    # beams, x and tol, only the two rule tables, by ladder steps (at most 7
+    # single steps and 6 pairs), and the beam cache, by one owner per distinct
+    # (|l0|, p0), have grown.  A second pass at the same (|l0|, p0) with another
+    # waist, sign of l0, x and tol misses no owner, and the beam cache holds
+    # 128 owners at most
     code = ("from oamturb import turbulence as t\n"
             "def sizes():\n"
             "    return {name: v.cache_info().currsize if hasattr(v, 'cache_info') else len(v)\n"
             "            for name, v in vars(t).items() if not name.startswith('__')\n"
             "            and (hasattr(v, 'cache_info') or isinstance(v, (dict, list, set)))}\n"
             "before = sizes()\n"
-            "for l0, p0, x, tol in ((1, 0, 0.5, 1e-9), (10, 2, 3.0, 1e-11), (40, 1, 50.0, 1e-6),\n"
-            "                       (3, 0, 1e-3, 1e-11), (97, 5, 0.01, 1e-10), (1, 0, 0.5, 1e-6)):\n"
-            "    beam = t.BeamParams(1, l0, p0)\n"
+            "calls = ((1, 1, 0, 0.5, 1e-9), (1, 10, 2, 3.0, 1e-11), (1, 40, 1, 50.0, 1e-6),\n"
+            "         (1, 3, 0, 1e-3, 1e-11), (1, 97, 5, 0.01, 1e-10), (2.5, -1, 0, 0.7, 1e-6))\n"
+            "for waist, l0, p0, x, tol in calls:\n"
+            "    beam = t.BeamParams(waist, l0, p0)\n"
             "    t.channel_ab(beam, t.r0_from_x(beam, x), tol)\n"
             "after = sizes()\n"
             "print(sorted(name for name in after if after[name] != before.get(name)))\n"
-            "print(2 < t._nodes.cache_info().currsize <= 13)")
-    assert fresh_python("-c", code).stdout.split("\n")[:2] == ["['_gauss01', '_nodes']", "True"]
+            "print(2 < t._nodes.cache_info().currsize <= 13)\n"
+            "print(after['_beam_rules'] - before['_beam_rules'], len({(abs(c[1]), c[2]) for c in calls}))\n"
+            "misses = t._beam_rules.cache_info().misses\n"
+            "for waist, l0, p0, x, tol in calls:\n"
+            "    beam = t.BeamParams(3.0 * waist, -l0, p0)\n"
+            "    t.channel_ab(beam, t.r0_from_x(beam, 2.0 * x), 10.0 * tol)\n"
+            "print(t._beam_rules.cache_info().misses - misses, sizes()['_beam_rules'] == after['_beam_rules'])\n"
+            "for labs in range(1000, 1129):\n"
+            "    t._beam_rules(labs, 0)\n"
+            "info = t._beam_rules.cache_info()\n"
+            "print(info.currsize, info.maxsize)")
+    assert fresh_python("-c", code).stdout.splitlines() == [
+        "['_beam_rules', '_gauss01', '_nodes']", "True", "5 5", "0 True", "128 128"]
 
 
 @pytest.mark.parametrize("l0, p0, x", [(40, 0, 1.0), (40, 0, 50.0), (10, 2, 20.0)])
@@ -617,7 +689,7 @@ def test_exponent_floor_moves_no_bit(monkeypatch, l0, p0, x):
     # far below the floor here, yet the floored terms change no bit of the sums
     beam = BeamParams(waist=1.0, l0=l0, p0=p0)
     turb = r0_from_x(beam, x)
-    assert turbulence._c_scale(beam, turb) * _u_max(beam) ** (5.0 / 6.0) > -2.0 * turbulence._EXP_FLOOR
+    assert turbulence._c_scale(beam, turb) * _u_max(l0, p0) ** (5.0 / 6.0) > -2.0 * turbulence._EXP_FLOOR
     floored = channel_ab(beam, turb, 1e-11)
     monkeypatch.setattr(turbulence, "_EXP_FLOOR", -math.inf)
     unfloored = channel_ab(beam, turb, 1e-11)
