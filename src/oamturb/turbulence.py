@@ -23,13 +23,14 @@ sums by its own quadrature of the radial weight, whose exact mass is 1.  The
 rule size grows by about sqrt(2) per step until two successive sizes agree
 to the tolerance, the coarser resolving the p0 zeros of the radial weight, the
 theta ~ 0 peak and, where the kernel is wide, the cos(2 l0 theta) oscillation.
-_nodes gives the input-free tables of one or two steps end to end.  From them
-_BeamRules builds what a rule needs of the beam alone, |l0| and p0, filling
-the first two steps a call evaluates in one pass.  A process keeps one per
-(|l0|, p0), the 128 last used, for every call whatever the waist, x or
-tol; two threads that fill one step at once write the same bits.  Each rule's
-kernel exponent is a rank-1 matrix product, c(u) times -sin(theta/2)^(5/3),
-which BLAS forms faster than an elementwise outer product.
+_nodes gives the input-free tables of one step.  From them _BeamRules builds
+what a rule needs of the beam alone, |l0| and p0, filling each step alone on
+first use.  A process keeps one per (|l0|, p0), the 128 last used, for every
+call whatever the waist, x or tol; two threads that fill one step at once
+write the same bits.  A p0 with more zeros than the rules resolve is refused
+before any is built.  Each rule's kernel exponent is a rank-1 matrix product,
+c(u) times -sin(theta/2)^(5/3), which BLAS forms faster than an elementwise
+outer product.
 """
 
 import functools
@@ -269,14 +270,11 @@ def _gauss01(n: int):
 
 
 @functools.cache
-def _nodes(i: int, n: int):
-    """The input-free tables of the n = 1 or 2 ladder steps from step i, end to
-    end: the radial Gauss nodes sigma on [0, 1] and the logs of their weights,
-    the theta = pi t^3 nodes and their weights (over pi), and
-    -sin(theta/2)^(5/3), the kernel exponent over c(u).  Within a step the
-    Gauss nodes descend, so theta does and that exponent ascends."""
-    if n == 2:
-        return tuple(map(np.concatenate, zip(_nodes(i, 1), _nodes(i + 1, 1))))
+def _nodes(i: int):
+    """The input-free tables of ladder step i: the radial Gauss nodes sigma on
+    [0, 1] and the logs of their weights, the theta = pi t^3 nodes and their
+    weights (over pi), and -sin(theta/2)^(5/3), the kernel exponent over c(u).
+    The Gauss nodes descend, so theta does and that exponent ascends."""
     n_u, n_th = _RULE_SIZES[i]
     sigma, w_sigma = _gauss01(n_u)
     t, wt = _gauss01(n_th)
@@ -291,10 +289,6 @@ class _BeamRules:
 
     def __init__(self, labs: int, p0: int):
         self.labs, self.p0 = labs, p0
-        # no rule with a step after it has _ZERO_NODES radial nodes per zero of a larger
-        # p0, so nothing is built, not even umax: math.comb takes minutes at a huge p0
-        if _ZERO_NODES * p0 > _RULE_SIZES[-2][0]:
-            return
         self.umax = umax = _u_max(labs, p0)
         # the radial nodes fill s = s_lo + (1 - s_lo) sigma, u = umax s^6 from the head cut to umax
         self.s_lo = (_u_head(labs, p0, math.log(_TAIL_MASS)) / umax) ** (1.0 / 6.0)
@@ -306,49 +300,38 @@ class _BeamRules:
                           + math.lgamma(p0 + 1.0) - math.lgamma(p0 + labs + 1.0))
         self._steps = {}
 
-    def step(self, i: int, pair: bool):
-        """The tables of ladder step i: the radial weight and its mass (inf or
-        nan if the weight leaves the float range, 0 if it underflows); s^5 =
-        c(u)/c(u_max) at each radial node and -sin(theta/2)^(5/3) at each theta
-        node, whose outer product times c(u_max) is the kernel exponent; and the
-        angular rows w, cos(2 l0 theta) w and |cos(2 l0 theta) w|.  A step not
-        yet filled is filled in one pass with step i + 1 if pair is set and
-        step i + 1 is not filled yet, else alone."""
+    def step(self, i: int):
+        """The tables of ladder step i, filled on first use: the radial weight and
+        its mass (inf or nan if the weight leaves the float range, 0 if it
+        underflows); s^5 = c(u)/c(u_max) at each radial node and
+        -sin(theta/2)^(5/3) at each theta node, whose outer product times
+        c(u_max) is the kernel exponent; and the angular rows w, cos(2 l0 theta) w
+        and |cos(2 l0 theta) w|."""
         tables = self._steps.get(i)
         if tables is None:
-            self._fill(i, 2 if pair and i + 1 not in self._steps else 1)
-            tables = self._steps[i]
-        return tables
-
-    def _fill(self, first, n):
-        # the tables of the n ladder steps from first, from their nodes end to end
-        sigma, log_w_sigma, theta, w_theta, sin53 = _nodes(first, n)
-        s = self.s_lo + (1.0 - self.s_lo) * sigma
-        s5 = s ** 5.0
-        u = self.umax * s5 * s
-        log_w = log_w_sigma + (6.0 * self.labs + 5.0) * np.log(s) - u + self.log_scale
-        if self.p0:
-            # times L_p^|l|(u)^2, squared after the product so that only a weight
-            # beyond the float range overflows, which the mass reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                radial = (np.exp(0.5 * log_w) * _laguerre(self.p0, self.labs, u)) ** 2
-        else:
-            radial = np.exp(log_w)
-        cos_w = np.cos(2.0 * self.labs * theta) * w_theta
-        rows = np.array((w_theta, cos_w, np.abs(cos_w)))
-        start_u = start_th = 0
-        for i in range(first, first + n):
-            n_u, n_th = _RULE_SIZES[i]
-            end_u, end_th = start_u + n_u, start_th + n_th
-            weight = radial[start_u:end_u]
+            sigma, log_w_sigma, theta, w_theta, sin53 = _nodes(i)
+            s = self.s_lo + (1.0 - self.s_lo) * sigma
+            s5 = s ** 5.0
+            u = self.umax * s5 * s
+            log_w = log_w_sigma + (6.0 * self.labs + 5.0) * np.log(s) - u + self.log_scale
+            if self.p0:
+                # times L_p^|l|(u)^2, squared after the product so that only a weight
+                # beyond the float range overflows, which the mass reports
+                with np.errstate(over="ignore", invalid="ignore"):
+                    radial = (np.exp(0.5 * log_w) * _laguerre(self.p0, self.labs, u)) ** 2
+            else:
+                radial = np.exp(log_w)
+            cos_w = np.cos(2.0 * self.labs * theta) * w_theta
             # the sum of finite terms of a unit-mass weight cannot overflow
-            self._steps[i] = (weight, float(np.add.reduce(weight)), s5[start_u:end_u],
-                              sin53[start_th:end_th], rows[:, start_th:end_th])
-            start_u, start_th = end_u, end_th
+            tables = (radial, float(np.add.reduce(radial)), s5, sin53,
+                      np.array((w_theta, cos_w, np.abs(cos_w))))
+            self._steps[i] = tables
+        return tables
 
 
 # The one constructor of _BeamRules, _beam_rules(|l0|, p0), keeps the 128 last used:
-# an owner holds at most about 58 KB, all seven ladder steps, so under 8 MB in all.
+# an owner holds at most about 55 KB (tracemalloc, all seven ladder steps at |l0| = 40,
+# p0 = 2), so under 8 MB in all.
 _beam_rules = functools.lru_cache(maxsize=128)(_BeamRules)
 
 
@@ -368,21 +351,23 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
     if c_scale == 0.0:
         # r0 = inf, or turbulence so weak that the kernel exponent underflows
         return ChannelCoefficients(1.0, 0.0, 0.0, 0.0)
+    if _ZERO_NODES * beam.p0 > _RULE_SIZES[-2][0]:
+        # no rule with a step after it has _ZERO_NODES radial nodes per zero, so no
+        # owner is built: math.comb in its cuts takes minutes at a huge p0
+        raise ConvergenceFailure(
+            f"channel integral: radial index too large to resolve {_where(beam, turb)}")
     rules = _beam_rules(abs(beam.l0), beam.p0)
     # The start test: the first step, with a step after it, whose rule meets
     # _ZERO_NODES, _PEAK_NODES and _PERIOD_NODES in turn; each is a least size, so a
     # failure names the first the last step misses.  In t the kernel is about
     # exp(-c (pi/2)^(5/3) t^5), narrowest at u_max, and an n-point Gauss rule has
     # about 2 n sqrt(t)/pi nodes below t.
-    cu_max = None
+    cu_max = c_scale * rules.umax ** (5.0 / 6.0)
+    nodes_per_size = 2.0 * math.sqrt((cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2)
+    n_period = _period_need(beam, c_scale, tol)
     for first, (n_u, n_th) in enumerate(_RULE_SIZES[:-1]):
         if n_u < _ZERO_NODES * rules.p0:
-            unmet = "radial index too large"
             continue
-        if cu_max is None:
-            cu_max = c_scale * rules.umax ** (5.0 / 6.0)
-            nodes_per_size = 2.0 * math.sqrt((cu_max * (0.5 * math.pi) ** (5.0 / 3.0)) ** -0.2)
-            n_period = _period_need(beam, c_scale, tol)
         if nodes_per_size * n_th / math.pi < _PEAK_NODES:
             unmet = "turbulence too strong"
         elif n_th < n_period:
@@ -396,8 +381,7 @@ def channel_ab(beam: BeamParams, turb: TurbulenceParams, tol: float = 1e-9) -> C
     cut = math.log(_TAIL_MASS) / cu_max
     coarse = None
     for i in range(first, len(_RULE_SIZES)):
-        # the first two steps are filled together: every call evaluates both
-        radial, mass, s5, sin53, rows = rules.step(i, i == first)
+        radial, mass, s5, sin53, rows = rules.step(i)
         # radial >= 0, so a weight beyond the float range leaves the mass inf or
         # nan, and one that underflows at every node (huge |l0|) leaves it 0
         if not 0.0 < mass < math.inf:
